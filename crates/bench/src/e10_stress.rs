@@ -11,8 +11,9 @@
 //! point is that the wait-free object stays correct and live under the same
 //! torture where a lock holder can stall everyone.
 
-use crate::{json::Json, render_table, write_obs_artifact};
+use crate::{render_table, write_obs_artifact};
 use sbu_core::bounded::UniversalConfig;
+use sbu_obs::json::Json;
 use sbu_stress::{
     run_jam_backoff, run_lock_based_jam, run_workload, Inject, Options, StressConfig, Workload,
 };

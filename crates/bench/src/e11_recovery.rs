@@ -10,10 +10,11 @@
 //! Numbers vary by machine; the *shape* (modest constant-factor overhead,
 //! microsecond-scale recovery) is the reproducible claim.
 
-use crate::{json::Json, render_table, write_obs_artifact};
+use crate::{render_table, write_obs_artifact};
 use sbu_core::{CellPayload, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::{DurableMem, Pid, TornPersist, Word};
+use sbu_obs::json::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use sbu_sticky::{JamWord, RecoverableJamWord};
 use std::sync::Arc;

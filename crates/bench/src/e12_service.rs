@@ -14,12 +14,12 @@
 //! instruments. `run_smoke` is the CI arm: 1 vs 4 shards at 4 clients,
 //! asserting the sharded run at least matches the single shard.
 
-use crate::json::Json;
 use crate::{render_table, write_obs_artifact};
 use rand::rngs::SmallRng;
 use sbu_core::{CellPayload, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::Pid;
+use sbu_obs::json::Json;
 use sbu_obs::Snapshot;
 use sbu_service::loadgen::{self, LoadgenConfig, LoopMode, Skew};
 use sbu_spec::specs::{CounterOp, CounterSpec};

@@ -22,8 +22,8 @@
 //! see [`exit_class`]. Artifacts: `BENCH_e13.json` and, under `obs`,
 //! `OBS_e13.json` (schemas in EXPERIMENTS.md).
 
-use crate::json::Json;
 use crate::{render_table, write_obs_artifact};
+use sbu_obs::json::Json;
 use sbu_obs::Snapshot;
 use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport, LoopMode, Skew};
 use sbu_service::FaultProfile;

@@ -20,11 +20,11 @@
 //! 4 threads, batched throughput must not lose to per-command, and under
 //! obs the `core.batch_size` histogram must have recorded real batches.
 
-use crate::json::Json;
 use crate::{render_table, write_obs_artifact};
 use sbu_core::{bounded::UniversalConfig, CellPayload, SpinLockUniversal, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::Pid;
+use sbu_obs::json::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use std::sync::Arc;
 use std::time::Instant;

@@ -21,8 +21,8 @@
 //! arm — a small Unix-socket cell that must show live `service.accept`
 //! activity and hold exactly-once.
 
-use crate::json::Json;
 use crate::{render_table, write_obs_artifact};
+use sbu_obs::json::Json;
 use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use sbu_service::{FaultProfile, TransportConfig};
 use sbu_spec::specs::{CounterOp, CounterSpec};

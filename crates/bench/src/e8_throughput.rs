@@ -12,7 +12,6 @@
 //! `run_checked` compares a fresh run against a checked-in baseline —
 //! that's the CI perf smoke.
 
-use crate::json::Json;
 use crate::{render_table, write_obs_artifact};
 use sbu_core::{
     bounded::UniversalConfig, CellPayload, SpinLockUniversal, UnboundedUniversal, Universal,
@@ -20,6 +19,7 @@ use sbu_core::{
 };
 use sbu_mem::native::NativeMem;
 use sbu_mem::{Pid, WordMem};
+use sbu_obs::json::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use std::sync::Arc;
 use std::time::Instant;

@@ -31,11 +31,6 @@ pub mod e7_randomized;
 pub mod e8_throughput;
 pub mod e9_explore;
 
-// The JSON reader/writer moved to `sbu-obs` (it now also serves the
-// `OBS_*.json` artifacts); re-exported here so `sbu_bench::json::Json`
-// keeps working.
-pub use sbu_obs::json;
-
 /// Write the `OBS_<exp>.json` observability artifact (schema in
 /// EXPERIMENTS.md) next to the experiment's `BENCH_*.json`, returning a
 /// report line. An empty snapshot (the `obs` feature is off, or nothing

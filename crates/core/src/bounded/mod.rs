@@ -223,26 +223,6 @@ where
         }
     }
 
-    /// Build the object with an explicit config (setup phase,
-    /// single-threaded).
-    ///
-    /// **Superseded** by the builder — prefer
-    /// `Universal::builder(n).config(config).build(mem, initial)`, which
-    /// also exposes observability and shard labeling. Kept as a thin shim
-    /// for older call sites.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Universal::builder(n).config(config).build(mem, initial)`"
-    )]
-    pub fn new<M: DataMem<CellPayload<S>>>(
-        mem: &mut M,
-        n: usize,
-        config: UniversalConfig,
-        initial: S,
-    ) -> Self {
-        Self::builder(n).config(config).build(mem, initial)
-    }
-
     /// Number of processors.
     pub fn n_procs(&self) -> usize {
         self.inner.n

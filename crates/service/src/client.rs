@@ -1,4 +1,4 @@
-//! The client half of the split `Service` API: typed per-client handles.
+//! The client half of the `Service` API: typed per-client handles.
 //!
 //! A [`ServiceClient`] owns one transport connection and one sequence
 //! counter. [`ServiceClient::call`] is the closed-loop path: submit, then
@@ -9,7 +9,7 @@
 //! out-of-order replies parked in a bounded stash until their `wait`
 //! claims them.
 //!
-//! Reliability invariants (unchanged from the monolithic API):
+//! Reliability invariants:
 //!
 //! * every retransmission reuses the original `(client, seq)` pair, so the
 //!   server's dedup window answers duplicates from cache — exactly-once
@@ -17,17 +17,20 @@
 //! * a [`ConnEvent::Disconnected`] is handled by reconnect-and-retransmit,
 //!   which the same dedup window makes safe over a real socket;
 //! * `Busy`/`Unavailable` control frames back the client off and
-//!   retransmit, and surface as their typed errors only at the deadline.
+//!   retransmit, and surface as their typed errors only at the deadline;
+//!   a `Reject` control frame (the server could not decode the request)
+//!   is final and surfaces at once as `ServiceError::Wire`.
 //!
-//! One client handle is one logical caller: methods serialize on an
-//! internal lock, so concurrent callers should each use their own client
-//! id (exactly as the old `Service::call(client, …)` contract required).
+//! A handle's connection and reply stash sit behind an internal lock, so
+//! concurrent callers should each use their own client id.
 
 use crate::retry::{deadline_error, RetryPolicy, ServiceError};
 use crate::route::ShardMap;
 use crate::server::ServiceObs;
 use crate::transport::{ClientConn, ConnEvent, Delivery, SendOutcome};
-use crate::wire::{control_frame, request_frame, Frame, WireCodec, KIND_BUSY, KIND_UNAVAILABLE};
+use crate::wire::{
+    request_frame, Frame, WireCodec, WireError, KIND_BUSY, KIND_REJECT, KIND_UNAVAILABLE,
+};
 use parking_lot::Mutex;
 use sbu_mem::contention::Backoff;
 use std::collections::VecDeque;
@@ -138,78 +141,6 @@ impl<S: WireCodec> ServiceClient<S> {
             sent,
         }
     }
-
-    /// Fire-and-account: post a request without a [`Pending`] handle; the
-    /// reply is collected positionally with [`take_next`](Self::take_next)
-    /// (a shed post stashes a synthetic `Busy` so accounting stays 1:1).
-    /// No retransmission happens on this path — it backs the deprecated
-    /// open-loop `post`/`take_reply` surface and the in-process load
-    /// generator, both of which require a trusted transport.
-    pub(crate) fn post_once(&self, key: u64, op: &S::Op) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let req = request_frame::<S>(self.id, seq, key, op);
-        let worker = self.map.shard_of(key) % self.workers;
-        let mut inner = self.inner.lock();
-        if inner.conn.send(worker, Delivery::Intact(req.to_bytes())) == SendOutcome::Shed {
-            self.obs.shed.incr(self.lane);
-            // Synthesized locally so every post still has exactly one
-            // reply; it never crossed the transport.
-            inner.stash.push_back(control_frame(&req, KIND_BUSY));
-        }
-        seq
-    }
-
-    /// Take the next reply in arrival order (pairs with
-    /// [`post_once`](Self::post_once); no sequence matching). `Busy` and
-    /// `Unavailable` controls surface as their typed errors; waits at most
-    /// the retry policy's deadline.
-    pub(crate) fn take_next(&self) -> Result<S::Resp, ServiceError> {
-        let deadline = Instant::now() + self.retry.deadline;
-        let mut inner = self.inner.lock();
-        loop {
-            let frame = match inner.stash.pop_front() {
-                Some(frame) => frame,
-                None => match inner.conn.recv_until(deadline) {
-                    ConnEvent::Frame(frame) => frame,
-                    ConnEvent::Garbled => {
-                        self.obs.garbled.incr(self.lane);
-                        continue;
-                    }
-                    ConnEvent::Timeout => {
-                        return Err(ServiceError::Deadline {
-                            client: self.id,
-                            seq: 0,
-                            attempts: 1,
-                        })
-                    }
-                    ConnEvent::Disconnected => {
-                        if Instant::now() >= deadline {
-                            return Err(ServiceError::Deadline {
-                                client: self.id,
-                                seq: 0,
-                                attempts: 1,
-                            });
-                        }
-                        inner.conn.reconnect();
-                        continue;
-                    }
-                },
-            };
-            return match frame.kind {
-                KIND_BUSY => Err(ServiceError::Busy {
-                    client: self.id,
-                    seq: frame.seq,
-                    attempts: 1,
-                }),
-                KIND_UNAVAILABLE => Err(ServiceError::Unavailable {
-                    client: self.id,
-                    seq: frame.seq,
-                    attempts: 1,
-                }),
-                _ => S::decode_resp(&frame.payload).map_err(Into::into),
-            };
-        }
-    }
 }
 
 /// A submitted request whose reply has not been claimed yet. Consume it
@@ -242,6 +173,8 @@ impl<'a, S: WireCodec> Pending<'a, S> {
         let mut last_control: Option<u8> = None;
         let mut backoff = Backoff::with_limit(c.retry.backoff_limit);
         let mut pending_send = !self.sent;
+        let expired =
+            |attempts: u32, last| Err(deadline_error(c.id, self.seq, attempts.max(1), last));
 
         'attempt: loop {
             if pending_send {
@@ -249,12 +182,7 @@ impl<'a, S: WireCodec> Pending<'a, S> {
                 // Busy — spin down and retry until the deadline intervenes.
                 loop {
                     if Instant::now() >= deadline {
-                        return Err(deadline_error(
-                            c.id,
-                            self.seq,
-                            attempts.max(1),
-                            last_control,
-                        ));
+                        return expired(attempts, last_control);
                     }
                     match conn.send(self.worker, Delivery::Intact(self.bytes.clone())) {
                         SendOutcome::Sent => break,
@@ -297,23 +225,13 @@ impl<'a, S: WireCodec> Pending<'a, S> {
                         }
                         ConnEvent::Timeout => {
                             if Instant::now() >= deadline {
-                                return Err(deadline_error(
-                                    c.id,
-                                    self.seq,
-                                    attempts.max(1),
-                                    last_control,
-                                ));
+                                return expired(attempts, last_control);
                             }
                             continue 'attempt; // attempt timed out: retransmit
                         }
                         ConnEvent::Disconnected => {
                             if Instant::now() >= deadline {
-                                return Err(deadline_error(
-                                    c.id,
-                                    self.seq,
-                                    attempts.max(1),
-                                    last_control,
-                                ));
+                                return expired(attempts, last_control);
                             }
                             conn.reconnect();
                             backoff.spin();
@@ -351,6 +269,14 @@ impl<'a, S: WireCodec> Pending<'a, S> {
                         last_control = Some(KIND_UNAVAILABLE);
                         backoff.spin();
                         continue 'attempt;
+                    }
+                    KIND_REJECT => {
+                        // The server could not decode the request: a
+                        // retransmit would be refused the same way.
+                        return Err(ServiceError::Wire(WireError::payload(format!(
+                            "request {}/{} rejected: undecodable payload",
+                            c.id, self.seq
+                        ))));
                     }
                     _ => match S::decode_resp(&frame.payload) {
                         Ok(resp) => return Ok(resp),

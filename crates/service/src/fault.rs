@@ -115,13 +115,7 @@ impl FaultProfile {
 
     /// Whether every rate is zero (no injector needed).
     pub fn is_none(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.delay == 0.0
-            && self.disconnect == 0.0
-            && self.lie == 0.0
+        *self == Self::none()
     }
 }
 

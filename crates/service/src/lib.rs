@@ -48,22 +48,26 @@
 //!   reconnect-and-retransmit when a socket drops; the server's per-worker
 //!   dedup window answers retransmits from cache, making acked operations
 //!   exactly-once under arbitrary honest loss.
-//! * [`KillPlan`]/[`Recovery`]/[`DurableShard`] — seeded worker kills with
-//!   supervisor respawn: volatile shards answer the in-flight request with
-//!   a typed `Unavailable` the client retries; durable shards run the real
-//!   `DurableMem` crash–restart protocol plus per-key
-//!   [`sbu_core::Universal::recover`], losing nothing acked.
+//! * [`KillPlan`]/[`Recovery`] — seeded worker kills with supervisor
+//!   respawn. `Recovery` picks the shards' word space once, at spawn:
+//!   volatile shards answer the in-flight drain with a typed
+//!   `Unavailable` the client retries; durable shards ([`DurableShard`],
+//!   a [`Shard`] over `DurableMem`) run the real crash–restart protocol
+//!   plus per-key [`sbu_core::Universal::recover`], losing nothing acked.
 //! * Bounded inboxes shed load past a high watermark with a typed `Busy`
 //!   outcome (`service.shed`); a malformed *stream* (oversized length
-//!   prefix) kills only its connection (`service.conn_drop`), never the
-//!   worker.
+//!   prefix) kills only its connection (`service.conn_drop`), and a
+//!   well-formed frame with an undecodable payload is answered with a
+//!   typed [`KIND_REJECT`] (`service.bad_payload`) — neither reaches a
+//!   worker panic.
 //!
 //! Observability: `service.route` (requests routed), `service.queue_depth`
 //! (inbox depth at drain), `service.shard_imbalance` (per-shard op totals
 //! at shutdown), the fault-plane family — `service.inject.{drop,dup,
 //! reorder,corrupt,delay,disconnect,lie}`, `service.retry`,
 //! `service.stale_reply`, `service.garbled`, `service.shed`,
-//! `service.dedup_hit`, `service.respawn`, `service.unavailable` — and the
+//! `service.dedup_hit`, `service.respawn`, `service.unavailable`,
+//! `service.bad_payload` — and the
 //! socket plane — `service.accept`, `service.conn_drop`,
 //! `service.read_syscall`, `service.partial_frame` — all on
 //! per-worker/per-client lanes under the repo's single-writer discipline
@@ -89,18 +93,16 @@ pub use fault::{Admission, FaultProfile, FaultyChannel, InjectObs};
 pub use loadgen::{LoadgenConfig, LoadgenReport, LoopMode, Skew};
 pub use retry::{RetryPolicy, ServiceError};
 pub use route::{Routing, ShardMap};
-#[allow(deprecated)]
-pub use server::ServiceConfig;
 pub use server::{Service, ServiceBuilder, ShardStats};
-pub use shard::Shard;
+pub use shard::{DurableShard, Shard};
 pub use socket::SocketConn;
-pub use supervise::{DurableShard, KillPlan, Recovery};
+pub use supervise::{KillPlan, Recovery};
 pub use transport::{
     ClientConn, ConnEvent, Delivery, RecvOutcome, SendOutcome, Transport, TransportConfig,
 };
 pub use wire::{
     control_frame, request_frame, response_frame, Frame, FrameDecoder, WireCodec, WireError,
-    KIND_BUSY, KIND_REQUEST, KIND_RESPONSE, KIND_UNAVAILABLE, MAX_FRAME_LEN,
+    KIND_BUSY, KIND_REJECT, KIND_REQUEST, KIND_RESPONSE, KIND_UNAVAILABLE, MAX_FRAME_LEN,
 };
 
 /// The one-stop import for service users: builder, client handles, typed

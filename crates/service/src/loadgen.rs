@@ -35,10 +35,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How many requests an open-loop client keeps in flight on a socket
-/// transport (the in-process open loop posts the whole backlog up front;
-/// a socket client must bound it so retransmissions stay inside the reply
-/// stash).
+/// How many requests an open-loop client keeps in flight: bounded so
+/// retransmissions stay inside the reply stash and the dedup window.
 const OPEN_WINDOW: usize = 32;
 
 /// How keys are drawn from `0..keys`.
@@ -55,8 +53,8 @@ pub enum Skew {
 /// Whether clients wait for replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopMode {
-    /// Issue requests ahead of replies (the full backlog in-process; a
-    /// bounded window of 32 in flight per client on a socket).
+    /// Issue requests ahead of replies (a bounded window of 32 in flight
+    /// per client).
     Open,
     /// One outstanding request per client (block on each reply).
     Closed,
@@ -89,9 +87,8 @@ pub struct LoadgenConfig {
     /// the whole report is a pure function of the config (determinism
     /// tests); when `true` they carry wall-clock measurements.
     pub timing: bool,
-    /// Transport faults to inject. Requires a retransmitting path: the
-    /// closed loop (any transport) or the windowed open loop (socket
-    /// transports). Switches the service onto [`RetryPolicy::lossy`].
+    /// Transport faults to inject. Switches the service onto
+    /// [`RetryPolicy::lossy`]; both loop modes retransmit.
     pub fault: Option<FaultProfile>,
 }
 
@@ -203,13 +200,6 @@ where
     F: Fn(&mut SmallRng) -> S::Op + Send + Sync,
 {
     assert!(config.clients >= 1 && config.ops_per_client >= 1 && config.keys >= 1);
-    let socket = !matches!(config.transport, TransportConfig::InProcess);
-    assert!(
-        config.fault.is_none() || config.mode == LoopMode::Closed || socket,
-        "fault injection needs a retransmitting path: the closed loop, or the \
-         windowed open loop on a socket transport (in-process open-loop posts \
-         are never retransmitted)"
-    );
     let retry = match (config.fault.is_some(), config.timing) {
         (false, _) => RetryPolicy::patient(),
         (true, true) => RetryPolicy::lossy(),
@@ -242,8 +232,8 @@ where
         }
     };
     let started = Instant::now();
-    match (config.mode, socket) {
-        (LoopMode::Closed, _) => {
+    match config.mode {
+        LoopMode::Closed => {
             std::thread::scope(|scope| {
                 for client in 0..config.clients {
                     let (svc, gen_op, classify) = (&svc, &gen_op, &classify);
@@ -260,36 +250,10 @@ where
                 }
             });
         }
-        (LoopMode::Open, false) => {
-            // In-process: post the full backlog, then collect every reply.
-            // Posting is single-threaded so the arrival order is
-            // deterministic; the workers drain concurrently, which is the
-            // point.
-            for client in 0..config.clients {
-                let mut stream = KeyStream::new(config, client);
-                for _ in 0..config.ops_per_client {
-                    let key = stream.next_key();
-                    let op = gen_op(&mut stream.rng);
-                    svc.client(client).post_once(key, &op);
-                }
-            }
-            std::thread::scope(|scope| {
-                for client in 0..config.clients {
-                    let (svc, classify) = (&svc, &classify);
-                    scope.spawn(move || {
-                        for _ in 0..config.ops_per_client {
-                            if let Err(e) = svc.client(client).take_next() {
-                                classify(&e);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        (LoopMode::Open, true) => {
-            // Socket: a bounded window of typed `Pending` handles per
-            // client, so retransmission and the reply stash keep working
-            // while several requests ride the stream at once.
+        LoopMode::Open => {
+            // A bounded window of typed `Pending` handles per client, so
+            // retransmission and the reply stash keep working while
+            // several requests are in flight at once.
             std::thread::scope(|scope| {
                 for client in 0..config.clients {
                     let (svc, gen_op, classify) = (&svc, &gen_op, &classify);

@@ -12,6 +12,15 @@
 //! [`FrameDecoder`](crate::FrameDecoder) regardless of the transport —
 //! bytes are bytes.
 //!
+//! Every request takes one path, the worker's drain handler: decode the
+//! drain (one blob, or up to 64 under group commit), admit each frame
+//! (seeded-kill tick, dedup against the window and the drain itself,
+//! undecodable payloads answered with a typed reject), commit the fresh
+//! frames one key group at a time with [`Shard::apply_batch`], reply.
+//! `group_commit` sets only the drain width and the shards' apply mode;
+//! [`Recovery`] sets only the shards' word space, what a kill answers,
+//! and what a respawn does.
+//!
 //! The fault-tolerant plane layers four mechanisms over that skeleton:
 //!
 //! * **Lossy transport** — the [`Faulty`](crate::fault::Faulty) wrapper
@@ -34,7 +43,8 @@
 //! Observability follows the repo's single-writer lane discipline with
 //! `workers + clients + 1` lanes: worker `w` writes lane `w`
 //! (`service.route`, `service.queue_depth`, `service.dedup_hit`,
-//! `service.respawn`, `service.unavailable`), client `c` writes lane
+//! `service.respawn`, `service.unavailable`, `service.batch_size`,
+//! `service.bad_payload`), client `c` writes lane
 //! `workers + c` (`service.retry`, `service.shed`, `service.stale_reply`,
 //! `service.garbled`), the `service.inject.*` counters are written on the
 //! lane of the fault lane they damage (serialized by that lane's lock),
@@ -45,89 +55,22 @@
 
 use crate::client::ServiceClient;
 use crate::fault::{FaultProfile, Faulty, InjectObs};
-use crate::retry::{RetryPolicy, ServiceError};
+use crate::retry::RetryPolicy;
 use crate::route::{Routing, ShardMap};
-use crate::shard::Shard;
+use crate::shard::{DurableShard, Shard};
 use crate::socket::{Socket, SocketObs};
-use crate::supervise::{DurableShard, KillPlan, KillState, Recovery};
+use crate::supervise::{KillPlan, KillState, Recovery};
 use crate::transport::{Delivery, InProcess, RecvOutcome, Transport, TransportConfig};
 use crate::wire::{
-    control_frame, response_frame, Frame, FrameDecoder, WireCodec, KIND_REQUEST, KIND_UNAVAILABLE,
+    control_frame, response_frame, Frame, FrameDecoder, WireCodec, KIND_REJECT, KIND_REQUEST,
+    KIND_UNAVAILABLE,
 };
+use sbu_core::CellPayload;
+use sbu_mem::{DataMem, DurableMem, NativeMem};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Server topology, routing policy, and the fault-tolerance knobs — the
-/// old one-bag configuration surface.
-#[deprecated(note = "use `Service::builder(shards)` and its typed setters \
-            (`.transport(…)`, `.fault(…)`, `.retry(…)`, …) instead")]
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Number of shards (power of two; see [`ShardMap::new`]).
-    pub shards: usize,
-    /// Number of worker threads. Shard `s` is owned by worker
-    /// `s % workers`; extra workers beyond `shards` simply idle.
-    pub workers: usize,
-    /// Number of client slots (reply boxes). Each concurrent caller must
-    /// use its own client id in `0..clients`.
-    pub clients: usize,
-    /// How keys map to shards.
-    pub routing: Routing,
-    /// Transport faults to inject on every lane (`None` = perfect
-    /// transport). A profile with any loss-shaped rate (drop, delay,
-    /// corrupt, disconnect) requires a [`RetryPolicy`] with an attempt
-    /// timeout, or lost frames would only surface at the hard deadline.
-    pub fault: Option<FaultProfile>,
-    /// Seeded worker-kill schedule (`None` = immortal workers).
-    pub kill: Option<KillPlan>,
-    /// What survives a worker kill; see [`Recovery`].
-    pub recovery: Recovery,
-    /// Inbox high watermark: a request push beyond this many queued frames
-    /// is shed with a typed `Busy` outcome. `0` = unbounded (the default,
-    /// matching the pre-fault-plane behavior). Reply boxes are always
-    /// unbounded — clients drain their own boxes.
-    pub mailbox_capacity: usize,
-    /// Per-client dedup window: how many `(client, seq)` → response
-    /// entries each worker caches for exactly-once retransmit answers.
-    /// Must comfortably exceed a client's maximum outstanding requests
-    /// (closed-loop callers have exactly 1).
-    pub dedup_window: usize,
-    /// Group-commit drain: workers pop every queued frame in one go and
-    /// commit all frames for the same key as **one** batched apply
-    /// ([`sbu_core::Universal::apply_batch`] — one list append, one state
-    /// recompute), turning queue depth into batch size under bursty or
-    /// hot-key load. Volatile shards only; durable shards keep per-command
-    /// applies (their crash-requeue contract is per-frame). Observable as
-    /// the `service.batch_size` histogram.
-    pub group_commit: bool,
-    /// Client-side deadline/retransmission policy.
-    pub retry: RetryPolicy,
-    /// Seed for every fault-plane RNG (injectors, kill schedules, retry
-    /// jitter). Same seed + same traffic ⇒ same faults.
-    pub seed: u64,
-}
-
-#[allow(deprecated)]
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            shards: 1,
-            workers: 1,
-            clients: 1,
-            routing: Routing::Hash,
-            fault: None,
-            kill: None,
-            recovery: Recovery::Volatile,
-            mailbox_capacity: 0,
-            dedup_window: 64,
-            retry: RetryPolicy::patient(),
-            seed: 0,
-            group_commit: false,
-        }
-    }
-}
 
 /// Per-shard totals reported after shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,6 +99,28 @@ pub(crate) struct ServiceObs {
     /// Commands committed per batched apply (group-commit drain only);
     /// recorded once per key-group on the owning worker's lane.
     pub(crate) batch_size: sbu_obs::Histogram,
+    /// Frames a worker refused at admission: an undecodable request
+    /// (answered `KIND_REJECT`) or a frame that is not a request (dropped).
+    pub(crate) bad_payload: sbu_obs::Counter,
+}
+
+impl ServiceObs {
+    fn register(registry: &sbu_obs::Registry) -> Self {
+        Self {
+            route: registry.counter("service.route"),
+            queue_depth: registry.histogram("service.queue_depth"),
+            shard_imbalance: registry.histogram("service.shard_imbalance"),
+            retry: registry.counter("service.retry"),
+            shed: registry.counter("service.shed"),
+            stale: registry.counter("service.stale_reply"),
+            garbled: registry.counter("service.garbled"),
+            dedup_hit: registry.counter("service.dedup_hit"),
+            respawn: registry.counter("service.respawn"),
+            unavailable: registry.counter("service.unavailable"),
+            batch_size: registry.histogram("service.batch_size"),
+            bad_payload: registry.counter("service.bad_payload"),
+        }
+    }
 }
 
 /// Builder for a [`Service`]: topology, routing, transport, and the
@@ -285,29 +250,11 @@ where
         let map = ShardMap::new(self.shards).with_routing(self.routing);
         let transport_lane = self.workers + self.clients;
         let registry = sbu_obs::Registry::new(transport_lane + 1);
-        let obs = Arc::new(ServiceObs {
-            route: registry.counter("service.route"),
-            queue_depth: registry.histogram("service.queue_depth"),
-            shard_imbalance: registry.histogram("service.shard_imbalance"),
-            retry: registry.counter("service.retry"),
-            shed: registry.counter("service.shed"),
-            stale: registry.counter("service.stale_reply"),
-            garbled: registry.counter("service.garbled"),
-            dedup_hit: registry.counter("service.dedup_hit"),
-            respawn: registry.counter("service.respawn"),
-            unavailable: registry.counter("service.unavailable"),
-            batch_size: registry.histogram("service.batch_size"),
-        });
+        let obs = Arc::new(ServiceObs::register(&registry));
         // The socket-plane instruments register unconditionally so every
         // transport reports the same (deterministic) instrument set; they
         // stay zero off-socket.
-        let socket_obs = Arc::new(SocketObs::new(
-            registry.counter("service.accept"),
-            registry.counter("service.conn_drop"),
-            registry.counter("service.read_syscall"),
-            registry.counter("service.partial_frame"),
-            transport_lane,
-        ));
+        let socket_obs = Arc::new(SocketObs::register(&registry, transport_lane));
         let inject = InjectObs::register(&registry);
 
         let inner: Arc<dyn Transport> = match &self.transport {
@@ -353,10 +300,17 @@ where
                 };
                 let transport = Arc::clone(&transport);
                 let obs = Arc::clone(&obs);
-                std::thread::Builder::new()
-                    .name(format!("sbu-service-worker-{w}"))
-                    .spawn(move || supervised_worker::<S>(ctx, transport.as_ref(), &obs))
-                    .expect("spawn worker")
+                let thread = std::thread::Builder::new().name(format!("sbu-service-worker-{w}"));
+                // The recovery mode picks the shards' word space, once.
+                match self.recovery {
+                    Recovery::Volatile => thread.spawn(move || {
+                        Worker::<S, NativeMem<_>>::new(ctx).supervise(&*transport, &obs)
+                    }),
+                    Recovery::Durable => thread.spawn(move || {
+                        Worker::<S, DurableMem<_>>::new(ctx).supervise(&*transport, &obs)
+                    }),
+                }
+                .expect("spawn worker")
             })
             .collect();
 
@@ -454,29 +408,6 @@ where
         }
     }
 
-    /// Boot the server from the old one-bag configuration.
-    #[allow(deprecated)]
-    #[deprecated(note = "use `Service::builder(shards)…build(template)`")]
-    pub fn start(config: ServiceConfig, template: S) -> Self {
-        let mut builder = Service::builder(config.shards)
-            .workers(config.workers)
-            .clients(config.clients)
-            .routing(config.routing)
-            .recovery(config.recovery)
-            .mailbox_capacity(config.mailbox_capacity)
-            .dedup_window(config.dedup_window)
-            .group_commit(config.group_commit)
-            .retry(config.retry)
-            .seed(config.seed);
-        if let Some(fault) = config.fault {
-            builder = builder.fault(fault);
-        }
-        if let Some(kill) = config.kill {
-            builder = builder.kill(kill);
-        }
-        builder.build(template)
-    }
-
     /// The router in force.
     pub fn shard_map(&self) -> ShardMap {
         self.map
@@ -503,26 +434,6 @@ where
     /// actually-bound address, so `tcp://127.0.0.1:0` works).
     pub fn endpoint(&self) -> Option<&str> {
         self.endpoint.as_deref()
-    }
-
-    /// Execute `op` against the object at `key` as `client`.
-    #[deprecated(note = "use `client(id).call(key, op)` on the typed handle")]
-    pub fn call(&self, client: u32, key: u64, op: &S::Op) -> Result<S::Resp, ServiceError> {
-        self.clients[client as usize].call(key, op)
-    }
-
-    /// Post a request without waiting for its reply; returns the sequence
-    /// number the response will echo.
-    #[deprecated(note = "use `client(id).submit(key, op)` and wait on the returned Pending")]
-    pub fn post(&self, client: u32, key: u64, op: &S::Op) -> u64 {
-        self.clients[client as usize].post_once(key, op)
-    }
-
-    /// Take the next reply in `client`'s box (pairs with
-    /// [`post`](Self::post); no sequence-number matching).
-    #[deprecated(note = "use `client(id).submit(key, op)` and wait on the returned Pending")]
-    pub fn take_reply(&self, client: u32) -> Result<S::Resp, ServiceError> {
-        self.clients[client as usize].take_next()
     }
 
     /// Snapshot the service instruments (`service.route`,
@@ -563,65 +474,60 @@ impl<S: WireCodec> Drop for Service<S> {
     }
 }
 
-/// The shard state a worker owns, by recovery mode.
-enum WorkerShards<S: WireCodec> {
-    Volatile(Vec<Shard<S>>),
-    Durable(Vec<DurableShard<S>>),
+/// A worker's shard word space — the one choice [`Recovery`] makes, at
+/// spawn — and what a respawn after a seeded kill does to it.
+trait WorkerMem<S: WireCodec>: DataMem<CellPayload<S>> + Sized {
+    /// Build the worker's (empty) shards.
+    fn shards(ctx: &WorkerCtx<S>) -> Vec<Shard<S, Self>>;
+
+    /// Restore the worker's state after a seeded kill.
+    fn respawn(worker: &mut Worker<S, Self>);
 }
 
-impl<S> WorkerShards<S>
+impl<S> WorkerMem<S> for NativeMem<CellPayload<S>>
 where
     S: WireCodec + Send + Sync,
     S::Op: Send + Sync,
     S::Resp: Send + Sync,
 {
-    fn build(recovery: Recovery, ids: &[usize], template: &S, group_commit: bool) -> Self {
-        match recovery {
-            Recovery::Volatile => WorkerShards::Volatile(
-                ids.iter()
-                    .map(|&s| Shard::new(s, template.clone()).group_commit(group_commit))
-                    .collect(),
-            ),
-            // Durable shards ignore the flag: their kill path requeues the
-            // single in-flight frame, a per-command contract.
-            Recovery::Durable => WorkerShards::Durable(
-                ids.iter()
-                    .map(|&s| DurableShard::new(s, template.clone()))
-                    .collect(),
-            ),
-        }
+    fn shards(ctx: &WorkerCtx<S>) -> Vec<Shard<S, Self>> {
+        ctx.shard_ids
+            .iter()
+            .map(|&s| Shard::new(s, ctx.template.clone()).group_commit(ctx.group_commit))
+            .collect()
     }
 
-    fn apply(&mut self, idx: usize, key: u64, op: &S::Op) -> S::Resp {
-        match self {
-            WorkerShards::Volatile(shards) => shards[idx].apply(key, op),
-            WorkerShards::Durable(shards) => shards[idx].apply(key, op),
-        }
+    /// The worker's memory died with it: fresh shards, empty dedup window.
+    /// (The killed drain was answered `Unavailable` before the panic.)
+    fn respawn(worker: &mut Worker<S, Self>) {
+        worker.shards = Self::shards(&worker.ctx);
+        worker.dedup.clear();
+    }
+}
+
+impl<S> WorkerMem<S> for DurableMem<NativeMem<CellPayload<S>>>
+where
+    S: WireCodec + Send + Sync,
+    S::Op: Send + Sync,
+    S::Resp: Send + Sync,
+{
+    fn shards(ctx: &WorkerCtx<S>) -> Vec<DurableShard<S>> {
+        ctx.shard_ids
+            .iter()
+            .map(|&s| Shard::durable(s, ctx.template.clone()))
+            .collect()
     }
 
-    /// Apply a same-key block. Volatile shards commit it as one group
-    /// append ([`Shard::apply_batch`]); durable shards degrade to
-    /// per-command applies.
-    fn apply_batch(&mut self, idx: usize, key: u64, ops: &[S::Op]) -> Vec<S::Resp> {
-        match self {
-            WorkerShards::Volatile(shards) => shards[idx].apply_batch(key, ops),
-            WorkerShards::Durable(shards) => {
-                ops.iter().map(|op| shards[idx].apply(key, op)).collect()
-            }
-        }
-    }
-
-    fn stats(&self) -> Vec<ShardStats> {
-        let one = |shard: usize, ops: u64, keys: usize| ShardStats { shard, ops, keys };
-        match self {
-            WorkerShards::Volatile(shards) => shards
-                .iter()
-                .map(|s| one(s.id(), s.ops(), s.keys()))
-                .collect(),
-            WorkerShards::Durable(shards) => shards
-                .iter()
-                .map(|s| one(s.id(), s.ops(), s.keys()))
-                .collect(),
+    /// Real crash–restart: resolve persists, wipe volatile registers,
+    /// replay per-key recovery. The dedup window models a persisted
+    /// response log and survives, keeping exactly-once across the crash.
+    fn respawn(worker: &mut Worker<S, Self>) {
+        for shard in &mut worker.shards {
+            let violations = shard.crash_recover();
+            assert!(
+                violations.is_empty(),
+                "durability violations on respawn: {violations:?}"
+            );
         }
     }
 }
@@ -630,359 +536,317 @@ where
 /// respawns; any *other* panic is a real bug and is propagated.
 struct SeededKill;
 
-/// Mutable worker state that must survive respawns (held outside the
-/// `catch_unwind` boundary).
-struct WorkerState<S: WireCodec> {
-    shards: WorkerShards<S>,
+/// One worker thread: its fixed context plus the state that survives
+/// respawns (held outside the `catch_unwind` boundary).
+struct Worker<S: WireCodec, M> {
+    ctx: WorkerCtx<S>,
+    shards: Vec<Shard<S, M>>,
     /// `(client → (seq → cached encoded response))`, bounded per client.
     dedup: HashMap<u32, BTreeMap<u64, Vec<u8>>>,
     dec: FrameDecoder,
     kill: Option<KillState>,
+    scratch: Scratch<S>,
 }
 
-/// The supervisor: run the worker loop, and when a seeded kill unwinds it,
-/// recover state per the recovery mode and run it again.
-fn supervised_worker<S>(
-    ctx: WorkerCtx<S>,
-    transport: &dyn Transport,
-    obs: &ServiceObs,
-) -> Vec<ShardStats>
+/// The drain handler's buffers, cleared (never freed) per drain so a
+/// width-1 drain allocates nothing of its own.
+struct Scratch<S: WireCodec> {
+    /// The drain's frames, in arrival order.
+    frames: Vec<Frame>,
+    /// Admitted but not yet answered frames (fresh and deferred), in
+    /// arrival order — what a kill must answer or requeue.
+    admitted: Vec<usize>,
+    /// Frames to commit: `(group, frame, op)`.
+    fresh: Vec<(usize, usize, S::Op)>,
+    /// Retransmits of a fresh frame in the same drain; answered from the
+    /// dedup window once their original commits.
+    deferred: Vec<usize>,
+    /// `(key, frames)` per group, in first-seen key order.
+    groups: Vec<(u64, usize)>,
+    /// Fresh frames and their ops laid out group by group.
+    order: Vec<usize>,
+    ops: Vec<S::Op>,
+    resps: Vec<S::Resp>,
+}
+
+impl<S, M> Worker<S, M>
 where
     S: WireCodec + Send + Sync,
     S::Op: Send + Sync,
     S::Resp: Send + Sync,
+    M: WorkerMem<S>,
 {
-    let mut state = WorkerState {
-        shards: WorkerShards::build(
-            ctx.recovery,
-            &ctx.shard_ids,
-            &ctx.template,
-            ctx.group_commit,
-        ),
-        dedup: HashMap::new(),
-        dec: FrameDecoder::new(),
-        kill: ctx.kill.map(|plan| KillState::new(plan, ctx.seed, ctx.w)),
-    };
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop::<S>(&ctx, &mut state, transport, obs);
-        }));
-        match run {
-            Ok(()) => break,
-            Err(payload) => {
-                if payload.downcast_ref::<SeededKill>().is_none() {
-                    std::panic::resume_unwind(payload); // a real bug
-                }
-                obs.respawn.incr(ctx.w);
-                state.dec.reset();
-                match &mut state.shards {
-                    WorkerShards::Volatile(_) => {
-                        // The worker's memory died with it: fresh shards,
-                        // empty dedup window. (The in-flight request was
-                        // answered `Unavailable` before the panic.)
-                        state.shards = WorkerShards::build(
-                            Recovery::Volatile,
-                            &ctx.shard_ids,
-                            &ctx.template,
-                            ctx.group_commit,
-                        );
-                        state.dedup.clear();
-                    }
-                    WorkerShards::Durable(shards) => {
-                        // Real crash–restart: resolve persists, wipe
-                        // volatile registers, replay per-key recovery. The
-                        // dedup window models a persisted response log and
-                        // survives, keeping exactly-once across the crash.
-                        for shard in shards.iter_mut() {
-                            let violations = shard.crash_recover();
-                            assert!(
-                                violations.is_empty(),
-                                "durability violations on respawn: {violations:?}"
-                            );
-                        }
-                    }
-                }
-                if let Some(kill) = &mut state.kill {
-                    kill.redraw();
-                }
-            }
+    fn new(ctx: WorkerCtx<S>) -> Self {
+        Self {
+            shards: M::shards(&ctx),
+            dedup: HashMap::new(),
+            dec: FrameDecoder::new(),
+            kill: ctx.kill.map(|plan| KillState::new(plan, ctx.seed, ctx.w)),
+            scratch: Scratch {
+                frames: Vec::new(),
+                admitted: Vec::new(),
+                fresh: Vec::new(),
+                deferred: Vec::new(),
+                groups: Vec::new(),
+                order: Vec::new(),
+                ops: Vec::new(),
+                resps: Vec::new(),
+            },
+            ctx,
         }
     }
-    state.shards.stats()
-}
 
-/// One worker: drain the transport through a frame decoder, apply each
-/// request to the owning shard (or answer it from the dedup window), and
-/// mail the response back. Returns when the transport stops; unwinds on a
-/// seeded kill.
-fn worker_loop<S>(
-    ctx: &WorkerCtx<S>,
-    state: &mut WorkerState<S>,
-    transport: &dyn Transport,
-    obs: &ServiceObs,
-) where
-    S: WireCodec + Send + Sync,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-{
-    let w = ctx.w;
-    // Group-commit drain width: how many queued blobs one receive may
-    // take. Depth beyond the cap is simply the next drain's batch.
-    const DRAIN_CAP: usize = 64;
-    loop {
-        let max = if ctx.group_commit { DRAIN_CAP } else { 1 };
-        let blobs = match transport.recv_requests(w, max) {
-            RecvOutcome::Batch { blobs, depth } => {
-                obs.queue_depth.record(w, depth);
-                blobs
+    /// The supervisor: serve, and when a seeded kill unwinds the loop,
+    /// recover per the recovery mode and serve again. Returns the shard
+    /// totals once the transport stops.
+    fn supervise(mut self, transport: &dyn Transport, obs: &ServiceObs) -> Vec<ShardStats> {
+        while let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.serve(transport, obs))) {
+            if payload.downcast_ref::<SeededKill>().is_none() {
+                std::panic::resume_unwind(payload); // a real bug
             }
-            RecvOutcome::Stopped => return,
-        };
-        if ctx.group_commit {
-            // Decode the whole drain up front, then commit it as key
-            // batches: queue depth becomes batch size.
-            let mut frames = Vec::new();
-            for bytes in &blobs {
-                state.dec.push(bytes);
-                loop {
-                    match state.dec.next_frame() {
-                        Ok(Some(frame)) => frames.push(frame),
-                        Ok(None) => break,
-                        Err(err) if err.is_recoverable() => continue,
-                        Err(err) => panic!("unrecoverable request stream: {err}"),
-                    }
-                }
+            obs.respawn.incr(self.ctx.w);
+            self.dec.reset();
+            M::respawn(&mut self);
+            if let Some(kill) = &mut self.kill {
+                kill.redraw();
             }
-            if !frames.is_empty() {
-                handle_batch::<S>(ctx, state, &frames, transport, obs);
-            }
-            continue;
         }
-        let [bytes] = &blobs[..] else {
-            unreachable!("per-command mode drains exactly one blob")
-        };
-        state.dec.push(bytes);
-        loop {
-            let frame = match state.dec.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(err) if err.is_recoverable() => {
+        self.shards
+            .iter()
+            .map(|s| ShardStats {
+                shard: s.id(),
+                ops: s.ops(),
+                keys: s.keys(),
+            })
+            .collect()
+    }
+
+    /// Drain the transport, one [`handle_drain`](Self::handle_drain) per
+    /// receive, until it stops.
+    fn serve(&mut self, transport: &dyn Transport, obs: &ServiceObs) {
+        // Drain width: group commit takes up to 64 queued blobs per
+        // receive, so queue depth becomes batch size; otherwise one blob.
+        let max = if self.ctx.group_commit { 64 } else { 1 };
+        while let RecvOutcome::Batch { blobs, depth } = transport.recv_requests(self.ctx.w, max) {
+            obs.queue_depth.record(self.ctx.w, depth);
+            self.handle_drain(&blobs, transport, obs);
+        }
+    }
+
+    /// The one request path: decode a drain, admit each frame, then commit
+    /// the fresh frames one key group at a time and reply.
+    ///
+    /// * **Admission**, frame by frame: a frame that is not a request is
+    ///   dropped; the seeded-kill hook ticks; a retransmit is answered from
+    ///   the dedup window, or — if its original is earlier in this drain —
+    ///   deferred until that commits; an undecodable request is answered
+    ///   `KIND_REJECT`. Both refusals count as `service.bad_payload`.
+    /// * **Commit**: fresh frames grouped by key in first-seen order, each
+    ///   group one [`Shard::apply_batch`] (one list append under group
+    ///   commit, per-command applies otherwise); replies in arrival order
+    ///   per key, then the deferred retransmits from the window. The window
+    ///   is evicted once, after every reply, so an in-drain retransmit is
+    ///   always answered from it, whatever `dedup_window` is.
+    ///
+    /// Nothing is applied until admission finishes, so a kill answers every
+    /// admitted-but-unapplied frame at once: volatile replies `Unavailable`
+    /// (the clients retry against the respawned worker), durable requeues
+    /// them in arrival order ahead of any buffered bytes. Never silently
+    /// lost, never double-applied.
+    fn handle_drain(&mut self, blobs: &[Vec<u8>], transport: &dyn Transport, obs: &ServiceObs) {
+        let Worker {
+            ctx,
+            shards,
+            dedup,
+            dec,
+            kill,
+            scratch,
+        } = self;
+        let w = ctx.w;
+        let Scratch {
+            frames,
+            admitted,
+            fresh,
+            deferred,
+            groups,
+            order,
+            ops,
+            resps,
+        } = scratch;
+        // A seeded kill unwinds mid-drain, so clear on entry, not after use.
+        frames.clear();
+        admitted.clear();
+        fresh.clear();
+        deferred.clear();
+        groups.clear();
+        order.clear();
+        ops.clear();
+
+        for bytes in blobs {
+            dec.push(bytes);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break,
                     // A corrupted request: the checksum caught it and the
-                    // decoder skipped it. The sender's retransmission is
-                    // the recovery path; nothing to do here.
-                    continue;
+                    // decoder skipped it. The sender's retransmission is the
+                    // recovery path.
+                    Err(err) if err.is_recoverable() => continue,
+                    Err(err) => panic!("unrecoverable request stream: {err}"),
                 }
-                Err(err) => panic!("unrecoverable request stream: {err}"),
-            };
-            handle_request::<S>(ctx, state, &frame, transport, obs);
+            }
         }
-    }
-}
 
-/// Group-commit: admit, then commit, a whole drained batch of frames — one
-/// batched apply per distinct key ([`WorkerShards::apply_batch`]), responses
-/// distributed afterward in arrival order per key.
-///
-/// Admission mirrors the per-command path frame by frame: the seeded-kill
-/// hook ticks once per frame (same kill budget), and the dedup window
-/// screens retransmissions. Because *nothing* is applied until admission
-/// finishes, a kill mid-batch upholds the per-command contract for every
-/// unanswered frame at once: volatile answers them all `Unavailable` (the
-/// clients retry against the respawned worker), durable requeues them in
-/// arrival order ahead of any buffered bytes. Never silently lost, never
-/// double-applied — now for the whole drain.
-fn handle_batch<S>(
-    ctx: &WorkerCtx<S>,
-    state: &mut WorkerState<S>,
-    frames: &[Frame],
-    transport: &dyn Transport,
-    obs: &ServiceObs,
-) where
-    S: WireCodec + Send + Sync,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-{
-    let w = ctx.w;
-    // `answered[i]` — frame i was served from the dedup window during
-    // admission. `fresh` keeps arrival order of frames to apply; `deferred`
-    // are in-batch duplicates, answerable from the window once the batch
-    // commits.
-    let mut answered = vec![false; frames.len()];
-    let mut fresh: Vec<usize> = Vec::new();
-    let mut deferred: Vec<usize> = Vec::new();
-    for (i, frame) in frames.iter().enumerate() {
-        assert_eq!(frame.kind, KIND_REQUEST, "worker received a non-request");
-        if let Some(kill) = &mut state.kill {
-            if kill.fires() {
-                let unapplied = (0..frames.len()).filter(|&j| j >= i || !answered[j]);
+        for (i, frame) in frames.iter().enumerate() {
+            if frame.kind != KIND_REQUEST {
+                obs.bad_payload.incr(w);
+                continue;
+            }
+            if kill.as_mut().is_some_and(KillState::fires) {
+                let rest = (i..frames.len()).filter(|&j| frames[j].kind == KIND_REQUEST);
                 match ctx.recovery {
                     Recovery::Volatile => {
-                        for j in unapplied {
+                        for j in admitted.iter().copied().chain(rest) {
                             obs.unavailable.incr(w);
-                            transport.send_reply(
-                                frames[j].client,
-                                Delivery::Intact(
-                                    control_frame(&frames[j], KIND_UNAVAILABLE).to_bytes(),
-                                ),
-                            );
+                            let reply = control_frame(&frames[j], KIND_UNAVAILABLE).to_bytes();
+                            transport.send_reply(frames[j].client, Delivery::Intact(reply));
                         }
                     }
                     Recovery::Durable => {
-                        let buffered = state.dec.take_buffered();
+                        let buffered = dec.take_buffered();
                         if !buffered.is_empty() {
                             transport.requeue_front(w, buffered);
                         }
-                        for j in unapplied.rev() {
+                        for j in rest.rev().chain(admitted.iter().rev().copied()) {
                             transport.requeue_front(w, frames[j].to_bytes());
                         }
                     }
                 }
                 std::panic::panic_any(SeededKill);
             }
-        }
-        let window = state.dedup.entry(frame.client).or_default();
-        if let Some(cached) = window.get(&frame.seq) {
-            obs.dedup_hit.incr(w);
-            transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
-            answered[i] = true;
-        } else if fresh
-            .iter()
-            .any(|&j| frames[j].client == frame.client && frames[j].seq == frame.seq)
-        {
-            obs.dedup_hit.incr(w);
-            deferred.push(i);
-        } else {
-            fresh.push(i);
-        }
-    }
-
-    // Group fresh frames by key in first-seen order; each group commits as
-    // one batched apply (one list append, one state recompute).
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for &i in &fresh {
-        let key = frames[i].key;
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    for (key, members) in &groups {
-        let shard_id = ctx.map.shard_of(*key);
-        debug_assert_eq!(shard_id % ctx.workers, w, "request routed to wrong worker");
-        let idx = (shard_id - w) / ctx.workers;
-        let ops: Vec<S::Op> = members
-            .iter()
-            .map(|&i| S::decode_op(&frames[i].payload).expect("decodable request"))
-            .collect();
-        obs.batch_size.record(w, ops.len() as u64);
-        let resps = state.shards.apply_batch(idx, *key, &ops);
-        for (&i, resp) in members.iter().zip(&resps) {
-            let frame = &frames[i];
-            obs.route.incr(w);
-            let resp_bytes = response_frame::<S>(frame, resp).to_bytes();
-            let window = state.dedup.entry(frame.client).or_default();
-            window.insert(frame.seq, resp_bytes.clone());
-            while window.len() > ctx.dedup_window {
-                window.pop_first();
-            }
-            transport.send_reply(frame.client, Delivery::Intact(resp_bytes));
-        }
-    }
-
-    // In-batch duplicates answer from the window the batch just filled. A
-    // window evicted down between commit and here (window smaller than the
-    // batch) degrades exactly like the per-command path, where a duplicate
-    // past the window re-applies.
-    for &i in &deferred {
-        let frame = &frames[i];
-        let window = state.dedup.entry(frame.client).or_default();
-        if let Some(cached) = window.get(&frame.seq) {
-            transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
-        } else {
-            let shard_id = ctx.map.shard_of(frame.key);
-            let idx = (shard_id - w) / ctx.workers;
-            let op = S::decode_op(&frame.payload).expect("decodable request");
-            let resp = state.shards.apply(idx, frame.key, &op);
-            obs.route.incr(w);
-            transport.send_reply(
-                frame.client,
-                Delivery::Intact(response_frame::<S>(frame, &resp).to_bytes()),
-            );
-        }
-    }
-}
-
-fn handle_request<S>(
-    ctx: &WorkerCtx<S>,
-    state: &mut WorkerState<S>,
-    frame: &Frame,
-    transport: &dyn Transport,
-    obs: &ServiceObs,
-) where
-    S: WireCodec + Send + Sync,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-{
-    let w = ctx.w;
-    assert_eq!(frame.kind, KIND_REQUEST, "worker received a non-request");
-
-    // The seeded kill hook: die *before* applying, so an interrupted
-    // request is either answered `Unavailable` (volatile — the client
-    // retries) or requeued for the recovered shard (durable). Either way
-    // no ack was sent and no state changed: never silently lost, never
-    // double-applied.
-    if let Some(kill) = &mut state.kill {
-        if kill.fires() {
-            match ctx.recovery {
-                Recovery::Volatile => {
-                    obs.unavailable.incr(w);
-                    transport.send_reply(
-                        frame.client,
-                        Delivery::Intact(control_frame(frame, KIND_UNAVAILABLE).to_bytes()),
-                    );
-                }
-                Recovery::Durable => {
-                    let buffered = state.dec.take_buffered();
-                    if !buffered.is_empty() {
-                        transport.requeue_front(w, buffered);
+            if let Some(cached) = dedup.get(&frame.client).and_then(|win| win.get(&frame.seq)) {
+                obs.dedup_hit.incr(w);
+                transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
+            } else if admitted
+                .iter()
+                .any(|&j| frames[j].client == frame.client && frames[j].seq == frame.seq)
+            {
+                obs.dedup_hit.incr(w);
+                admitted.push(i);
+                deferred.push(i);
+            } else {
+                match S::decode_op(&frame.payload) {
+                    Ok(op) => {
+                        let g = match groups.iter().position(|&(key, _)| key == frame.key) {
+                            Some(g) => g,
+                            None => {
+                                groups.push((frame.key, 0));
+                                groups.len() - 1
+                            }
+                        };
+                        groups[g].1 += 1;
+                        admitted.push(i);
+                        fresh.push((g, i, op));
                     }
-                    transport.requeue_front(w, frame.to_bytes());
+                    Err(_) => {
+                        obs.bad_payload.incr(w);
+                        let reply = control_frame(frame, KIND_REJECT).to_bytes();
+                        transport.send_reply(frame.client, Delivery::Intact(reply));
+                    }
                 }
             }
-            std::panic::panic_any(SeededKill);
+        }
+
+        // Lay the fresh frames out group by group (arrival order within each
+        // group), so every group's ops are one contiguous slice.
+        fresh.sort_unstable_by_key(|&(g, i, _)| (g, i));
+        for (_, i, op) in fresh.drain(..) {
+            order.push(i);
+            ops.push(op);
+        }
+        let mut start = 0;
+        for &(key, len) in groups.iter() {
+            let members = start..start + len;
+            start += len;
+            let shard_id = ctx.map.shard_of(key);
+            debug_assert_eq!(shard_id % ctx.workers, w, "request routed to wrong worker");
+            // Worker w owns shards w, w + workers, w + 2·workers, … in order.
+            let idx = (shard_id - w) / ctx.workers;
+            if ctx.group_commit {
+                obs.batch_size.record(w, len as u64);
+            }
+            resps.clear();
+            shards[idx].apply_batch_into(key, &ops[members.clone()], resps);
+            for (&i, resp) in order[members].iter().zip(resps.iter()) {
+                let frame = &frames[i];
+                obs.route.incr(w);
+                let reply = response_frame::<S>(frame, resp).to_bytes();
+                let window = dedup.entry(frame.client).or_default();
+                window.insert(frame.seq, reply.clone());
+                transport.send_reply(frame.client, Delivery::Intact(reply));
+            }
+        }
+        for &i in deferred.iter() {
+            let frame = &frames[i];
+            let cached = dedup
+                .get(&frame.client)
+                .and_then(|win| win.get(&frame.seq))
+                .expect("a deferred retransmit's original committed in this drain");
+            transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
+        }
+        for &i in order.iter() {
+            if let Some(window) = dedup.get_mut(&frames[i].client) {
+                while window.len() > ctx.dedup_window {
+                    window.pop_first();
+                }
+            }
         }
     }
-
-    // Exactly-once: a retransmission of an already-applied request is
-    // answered from the dedup window, not re-applied.
-    let window = state.dedup.entry(frame.client).or_default();
-    if let Some(cached) = window.get(&frame.seq) {
-        obs.dedup_hit.incr(w);
-        transport.send_reply(frame.client, Delivery::Intact(cached.clone()));
-        return;
-    }
-
-    let shard_id = ctx.map.shard_of(frame.key);
-    debug_assert_eq!(shard_id % ctx.workers, w, "request routed to wrong worker");
-    // Worker w owns shards w, w + workers, w + 2·workers, … in order.
-    let idx = (shard_id - w) / ctx.workers;
-    let op = S::decode_op(&frame.payload).expect("decodable request");
-    let resp = state.shards.apply(idx, frame.key, &op);
-    obs.route.incr(w);
-
-    let resp_bytes = response_frame::<S>(frame, &resp).to_bytes();
-    let window = state.dedup.entry(frame.client).or_default();
-    window.insert(frame.seq, resp_bytes.clone());
-    while window.len() > ctx.dedup_window {
-        window.pop_first();
-    }
-    transport.send_reply(frame.client, Delivery::Intact(resp_bytes));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::ServiceError;
+    use crate::transport::ConnEvent;
+    use crate::wire::{request_frame, WireError};
     use sbu_spec::specs::{CounterOp, CounterSpec, JamWordOp, JamWordResp, JamWordSpec};
+
+    #[test]
+    fn in_drain_retransmit_is_answered_from_the_window_whatever_its_size() {
+        // One drain: A/0, A/1 and a retransmit of A/0, all on one key, with
+        // a one-entry window. Eviction waits for the end of the drain, so
+        // the retransmit is answered from the window, never re-applied.
+        let ctx = WorkerCtx {
+            w: 0,
+            workers: 1,
+            shard_ids: vec![0],
+            template: CounterSpec::new(),
+            map: ShardMap::new(1),
+            recovery: Recovery::Volatile,
+            kill: None,
+            dedup_window: 1,
+            seed: 0,
+            group_commit: true,
+        };
+        let mut worker = Worker::<CounterSpec, NativeMem<_>>::new(ctx);
+        let transport = Arc::new(InProcess::new(1, 1, 0));
+        let obs = ServiceObs::register(&sbu_obs::Registry::new(2));
+        let a = |seq| request_frame::<CounterSpec>(0, seq, 5, &CounterOp::Inc).to_bytes();
+        worker.handle_drain(&[a(0), a(1), a(0)], &*transport, &obs);
+        assert_eq!(worker.shards[0].apply(5, &CounterOp::Read), 2);
+
+        let mut conn = Arc::clone(&transport).connect(0);
+        let until = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        let replies: Vec<(u64, u64)> = (0..3)
+            .map(|_| match conn.recv_until(until) {
+                ConnEvent::Frame(f) => (f.seq, CounterSpec::decode_resp(&f.payload).unwrap()),
+                other => panic!("expected a reply, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(replies, vec![(0, 1), (1, 2), (0, 1)]);
+        assert_eq!(worker.dedup[&0].len(), 1, "evicted down to the window");
+    }
 
     #[test]
     fn counter_service_end_to_end() {
@@ -1118,46 +982,66 @@ mod tests {
         }
     }
 
-    /// The deprecated-surface compat test: the old one-bag config and the
-    /// raw open-loop `post`/`take_reply` must keep their exact semantics
-    /// for one release.
     #[test]
-    #[allow(deprecated)]
     fn bounded_mailbox_sheds_with_busy_replies() {
         // One worker, capacity 2, and the worker is slow to drain because
-        // we flood from the posting side before it wakes. Shed posts must
-        // produce Busy replies so accounting stays 1:1.
-        let mut svc = Service::start(
-            ServiceConfig {
-                shards: 1,
-                workers: 1,
-                clients: 1,
-                mailbox_capacity: 2,
-                ..Default::default()
-            },
-            CounterSpec::new(),
-        );
+        // we flood from the submitting side before waiting on anything.
+        // Every request must end in exactly one outcome — a reply, or a
+        // typed Busy if its resends stay shed until the deadline.
+        let mut svc = Service::builder(1)
+            .mailbox_capacity(2)
+            .build(CounterSpec::new());
+        let client = svc.client(0);
         let posts = 64u64;
-        for i in 0..posts {
-            svc.post(0, 0, &CounterOp::Add(1 + (i % 3)));
-        }
+        let pending: Vec<_> = (0..posts)
+            .map(|i| client.submit(0, &CounterOp::Add(1 + (i % 3))))
+            .collect();
+        let deadline = std::time::Instant::now() + client.retry().deadline;
         let mut ok = 0u64;
         let mut busy = 0u64;
-        for _ in 0..posts {
-            match svc.take_reply(0) {
+        for p in pending {
+            match p.wait(deadline) {
                 Ok(_) => ok += 1,
                 Err(e) if e.is_busy() => busy += 1,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        assert_eq!(ok + busy, posts, "exactly one reply per post");
-        let applied = svc.call(0, 1, &CounterOp::Read).unwrap(); // other key: 0
+        assert_eq!(ok + busy, posts, "exactly one outcome per request");
+        let applied = client.call(1, &CounterOp::Read).unwrap(); // other key: 0
         assert_eq!(applied, 0);
         let stats = svc.shutdown();
-        // Only the non-shed posts were applied (plus the read).
+        // Only the acked requests were applied (plus the read).
         assert_eq!(stats[0].ops, ok + 1);
-        // `busy` may legitimately be zero if the worker kept up; the 1:1
-        // accounting above is the contract under test.
+        // `busy` is zero whenever the resends got through before the
+        // deadline; the 1:1 accounting above is the contract under test.
+    }
+
+    #[test]
+    fn rejected_request_surfaces_as_a_final_wire_error() {
+        // A frame under client 0's identity, seq 0, whose payload is no
+        // counter op, reaches the worker ahead of the client's own seq 0:
+        // the worker answers it KIND_REJECT, and the client's wait for
+        // seq 0 claims that reply as a non-retryable wire error.
+        let mut svc = Service::builder(1).build(CounterSpec::new());
+        let bad = Frame {
+            kind: KIND_REQUEST,
+            client: 0,
+            seq: 0,
+            key: 1,
+            payload: vec![0xEE; 5],
+        };
+        let mut raw = Arc::clone(&svc.transport).connect(0);
+        raw.send(0, Delivery::Intact(bad.to_bytes()));
+        let err = svc.client(0).call(1, &CounterOp::Inc).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::Wire(WireError::Payload(_))) && !err.is_retryable(),
+            "{err}"
+        );
+        let snap = svc.obs_snapshot();
+        svc.shutdown();
+        if cfg!(feature = "obs") {
+            assert_eq!(snap.counter("service.bad_payload"), 1);
+        }
     }
 
     #[test]

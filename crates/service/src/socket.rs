@@ -122,41 +122,22 @@ pub(crate) struct SocketObs {
 }
 
 impl SocketObs {
-    pub(crate) fn new(
-        accept: Counter,
-        conn_drop: Counter,
-        read_syscall: Counter,
-        partial_frame: Counter,
-        lane: usize,
-    ) -> Self {
+    /// Register the socket-plane counters, recorded on `lane`.
+    pub(crate) fn register(registry: &sbu_obs::Registry, lane: usize) -> Self {
         Self {
-            accept,
-            conn_drop,
-            read_syscall,
-            partial_frame,
+            accept: registry.counter("service.accept"),
+            conn_drop: registry.counter("service.conn_drop"),
+            read_syscall: registry.counter("service.read_syscall"),
+            partial_frame: registry.counter("service.partial_frame"),
             lane,
             guard: Mutex::new(()),
         }
     }
 
-    fn accept_incr(&self) {
+    /// Count one event on `counter` (one of this struct's own).
+    fn incr(&self, counter: &Counter) {
         let _g = self.guard.lock();
-        self.accept.incr(self.lane);
-    }
-
-    fn conn_drop_incr(&self) {
-        let _g = self.guard.lock();
-        self.conn_drop.incr(self.lane);
-    }
-
-    fn read_syscall_incr(&self) {
-        let _g = self.guard.lock();
-        self.read_syscall.incr(self.lane);
-    }
-
-    fn partial_frame_incr(&self) {
-        let _g = self.guard.lock();
-        self.partial_frame.incr(self.lane);
+        counter.incr(self.lane);
     }
 }
 
@@ -252,7 +233,7 @@ impl Socket {
                         }
                         match listener.accept() {
                             Ok(conn) => {
-                                obs.accept_incr();
+                                obs.incr(&obs.accept);
                                 let _ = conn.set_read_timeout(Some(READ_POLL));
                                 readers.push(spawn_reader(
                                     conn,
@@ -405,12 +386,12 @@ fn spawn_reader(
                     }
                     Err(_) => {
                         if !stop.load(Ordering::SeqCst) {
-                            obs.conn_drop_incr();
+                            obs.incr(&obs.conn_drop);
                         }
                         break;
                     }
                 };
-                obs.read_syscall_incr();
+                obs.incr(&obs.read_syscall);
                 dec.push(&buf[..n]);
                 loop {
                     match dec.next_frame() {
@@ -452,7 +433,7 @@ fn spawn_reader(
                             // body) we can't trust poisons the rest of the
                             // stream — typed close of this connection only;
                             // the worker never sees it.
-                            obs.conn_drop_incr();
+                            obs.incr(&obs.conn_drop);
                             conn.shutdown_both();
                             deregister(&writers, &registered, &writer);
                             break 'conn;
@@ -460,7 +441,7 @@ fn spawn_reader(
                     }
                 }
                 if dec.pending_len() > 0 {
-                    obs.partial_frame_incr();
+                    obs.incr(&obs.partial_frame);
                 }
             }
             deregister(&writers, &registered, &writer);

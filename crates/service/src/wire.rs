@@ -22,7 +22,9 @@
 //! (the owning worker's mailbox hit its high watermark and the request was
 //! shed instead of queued) and [`KIND_UNAVAILABLE`] (the owning shard
 //! worker crashed with the request in flight and its volatile state is
-//! gone). Both are retryable; neither carries a payload.
+//! gone), both retryable, and [`KIND_REJECT`] (the request decoded as a
+//! frame but its payload is not an op this service knows — final, a
+//! retransmit would be refused again). None carries a payload.
 //!
 //! Payloads are spec-typed: the [`WireCodec`] trait extends a
 //! [`SequentialSpec`] with byte encodings for its `Op` and `Resp`, so a
@@ -47,6 +49,10 @@ pub const KIND_BUSY: u8 = 2;
 /// this request in flight and its volatile state was lost. Retryable; the
 /// retried operation lands on the respawned shard.
 pub const KIND_UNAVAILABLE: u8 = 3;
+/// Frame kind tag: control response — the request's payload does not
+/// decode as an op. Not retryable; the client surfaces it as
+/// `ServiceError::Wire(WireError::Payload(..))`.
+pub const KIND_REJECT: u8 = 4;
 
 /// Bytes of a frame after the length prefix, before the payload
 /// (checksum + kind + client + seq + key).
@@ -134,8 +140,8 @@ pub(crate) fn checksum(bytes: &[u8]) -> u32 {
 /// appears here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// [`KIND_REQUEST`], [`KIND_RESPONSE`], [`KIND_BUSY`] or
-    /// [`KIND_UNAVAILABLE`].
+    /// [`KIND_REQUEST`], [`KIND_RESPONSE`], or one of the control kinds
+    /// [`KIND_BUSY`], [`KIND_UNAVAILABLE`], [`KIND_REJECT`].
     pub kind: u8,
     /// The client the frame belongs to (sender of a request, addressee of
     /// a response).
@@ -171,10 +177,10 @@ impl Frame {
         out
     }
 
-    /// Whether this is a [`KIND_BUSY`] / [`KIND_UNAVAILABLE`] control
-    /// response rather than an application frame.
+    /// Whether this is a [`KIND_BUSY`] / [`KIND_UNAVAILABLE`] /
+    /// [`KIND_REJECT`] control response rather than an application frame.
     pub fn is_control(&self) -> bool {
-        self.kind == KIND_BUSY || self.kind == KIND_UNAVAILABLE
+        matches!(self.kind, KIND_BUSY | KIND_UNAVAILABLE | KIND_REJECT)
     }
 }
 
@@ -450,10 +456,10 @@ pub fn response_frame<S: WireCodec>(req: &Frame, resp: &S::Resp) -> Frame {
     }
 }
 
-/// Encode a payload-free control response (`KIND_BUSY` / `KIND_UNAVAILABLE`)
-/// answering `req`.
+/// Encode a payload-free control response (`KIND_BUSY` /
+/// `KIND_UNAVAILABLE` / `KIND_REJECT`) answering `req`.
 pub fn control_frame(req: &Frame, kind: u8) -> Frame {
-    debug_assert!(kind == KIND_BUSY || kind == KIND_UNAVAILABLE);
+    debug_assert!(matches!(kind, KIND_BUSY | KIND_UNAVAILABLE | KIND_REJECT));
     Frame {
         kind,
         client: req.client,
@@ -605,7 +611,7 @@ mod tests {
     #[test]
     fn control_frames_round_trip() {
         let req = request_frame::<CounterSpec>(2, 11, 99, &CounterOp::Inc);
-        for kind in [KIND_BUSY, KIND_UNAVAILABLE] {
+        for kind in [KIND_BUSY, KIND_UNAVAILABLE, KIND_REJECT] {
             let ctl = control_frame(&req, kind);
             assert!(ctl.is_control());
             assert!(ctl.payload.is_empty());

@@ -5,9 +5,12 @@
 //! one client's frames over another client's stream).
 
 use sbu_service::loadgen::{self, LoadgenConfig};
-use sbu_service::{FaultProfile, RetryPolicy, Service, TransportConfig};
+use sbu_service::{
+    FaultProfile, Frame, FrameDecoder, RetryPolicy, Service, TransportConfig, KIND_REJECT,
+    KIND_REQUEST, KIND_RESPONSE,
+};
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A scratch Unix-socket path unique across the test binary's threads.
@@ -94,6 +97,71 @@ fn garbage_bytes_kill_only_their_connection() {
             1,
             "exactly the hostile connection dropped"
         );
+    }
+}
+
+#[test]
+fn undecodable_and_misdirected_frames_never_kill_a_worker() {
+    // Regression: a CRC-valid frame whose payload is not an op, or whose
+    // kind is not a request, used to panic the owning worker; the
+    // supervisor re-raised the panic and `shutdown` panicked with it.
+    let path = scratch_socket("bad-payload");
+    let mut svc = Service::builder(2)
+        .workers(1) // one worker: the honest client shares it with the peer
+        .transport(TransportConfig::Unix(path.clone()))
+        .build(CounterSpec::new());
+    assert_eq!(svc.client(0).call(3, &CounterOp::Inc).expect("inc"), 1);
+
+    let mut peer = std::os::unix::net::UnixStream::connect(&path).expect("dial");
+    peer.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let frame = |kind, seq| Frame {
+        kind,
+        client: 7,
+        seq,
+        key: 3,
+        payload: vec![0xEE; 5],
+    };
+    // Same connection, same key: the reader queues both frames on one
+    // worker in order, so the reject proves the response frame was
+    // processed (and dropped) first.
+    peer.write_all(&frame(KIND_RESPONSE, 1).to_bytes())
+        .expect("write response-kind frame");
+    peer.write_all(&frame(KIND_REQUEST, 2).to_bytes())
+        .expect("write undecodable request");
+    let mut dec = FrameDecoder::new();
+    let mut buf = [0u8; 256];
+    let reply = loop {
+        if let Some(frame) = dec.next_frame().expect("well-formed reply") {
+            break frame;
+        }
+        let n = peer.read(&mut buf).expect("a reply, not a hang");
+        assert!(n > 0, "the server closed the peer instead of answering");
+        dec.push(&buf[..n]);
+    };
+    assert_eq!(
+        (reply.kind, reply.client, reply.seq),
+        (KIND_REJECT, 7, 2),
+        "the undecodable request is rejected, and only it is answered"
+    );
+    assert!(reply.payload.is_empty());
+
+    // The worker is alive and honest: the same shard keeps counting.
+    for expect in 2..=5 {
+        assert_eq!(svc.client(0).call(3, &CounterOp::Inc).expect("inc"), expect);
+    }
+    let snap = svc.obs_snapshot();
+    let stats = svc.shutdown();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        stats.iter().map(|s| s.ops).sum::<u64>(),
+        5,
+        "only honest ops applied"
+    );
+    if cfg!(feature = "obs") {
+        assert_eq!(snap.counter("service.bad_payload"), 2);
+        assert_eq!(snap.counter("service.route"), 5);
+        assert_eq!(snap.counter("service.conn_drop"), 0);
     }
 }
 

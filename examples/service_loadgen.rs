@@ -146,13 +146,6 @@ fn main() -> ExitCode {
         eprintln!("--shards must be a power of two");
         return usage();
     }
-    let in_process = matches!(config.transport, TransportConfig::InProcess);
-    if config.fault.is_some() && in_process && (mixed || config.mode == LoopMode::Open) {
-        // The in-process open loop is the legacy fire-and-forget path with
-        // no retransmission; lossy open-loop runs need a socket endpoint.
-        eprintln!("--lossy with an open/mixed loop needs --remote (retransmitting socket client)");
-        return usage();
-    }
 
     println!("{config:#?}\n");
     let ok = if mixed {

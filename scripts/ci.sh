@@ -107,6 +107,9 @@ fi
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
 cargo test --quiet --offline -p sbu-service
 
+step "benchmark package builds and tests against the service's public API"
+CARGO_TARGET_DIR=.bench_build cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
+
 step "service throughput smoke (exp e12 --smoke: 4 shards must not lose to 1 shard at 4 clients)"
 rm -f OBS_e12.json
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e12 --smoke >/dev/null
