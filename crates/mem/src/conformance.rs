@@ -133,11 +133,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::NativeMem;
+    use crate::native::{NativeMem, OwnedMem};
+    use crate::DurableMem;
 
     #[test]
     fn native_backend_conforms() {
         let mut mem: NativeMem<String> = NativeMem::new();
+        exercise_word_mem(&mut mem);
+        exercise_data_mem(&mut mem, "a".to_string(), "b".to_string());
+    }
+
+    #[test]
+    fn packed_layout_conforms() {
+        let mut mem: OwnedMem<String> = OwnedMem::default();
+        exercise_word_mem(&mut mem);
+        exercise_data_mem(&mut mem, "a".to_string(), "b".to_string());
+    }
+
+    #[test]
+    fn durable_over_packed_layout_conforms() {
+        let mut mem = DurableMem::new(OwnedMem::<String>::default());
         exercise_word_mem(&mut mem);
         exercise_data_mem(&mut mem, "a".to_string(), "b".to_string());
     }

@@ -24,7 +24,10 @@
 //! * [`native::NativeMem`] — real `std::sync::atomic` operations, for
 //!   multi-threaded execution and throughput benchmarks. Its registers are
 //!   *stronger* than safe (they are atomic), which is sound: any algorithm
-//!   correct over safe registers stays correct over atomic ones.
+//!   correct over safe registers stays correct over atomic ones. Its
+//!   register [`Layout`] is a type: [`Padded`] (the default, a cache line
+//!   per register) for arenas threads share, [`Packed`] ([`OwnedMem`]) for
+//!   arenas one thread owns.
 //! * `sbu-sim`'s `SimMem` — a deterministic, adversarially scheduled
 //!   backend that faithfully models safe-register overlap (arbitrary values)
 //!   and flags non-atomic `Flush` overlap, with crash injection and step
@@ -47,7 +50,7 @@ mod traits;
 
 pub use contention::{Backoff, CachePadded};
 pub use durable::{DurableMem, DurableObs, TornPersist};
-pub use native::{MemObs, NativeMem};
+pub use native::{Layout, MemObs, NativeMem, OwnedMem, Packed, Padded};
 pub use sbu_spec::specs::Tri;
 pub use sbu_spec::Pid;
 pub use traits::{DataMem, JamOutcome, WordMem};

@@ -10,18 +10,28 @@
 //! [`WordMem::alloc_sticky_bits`] share a word, so a Figure 2 sticky byte
 //! snapshots *all* of its bits with a single load
 //! ([`WordMem::sticky_read_word`]); bits allocated individually get a word
-//! (and a cache line) of their own, so unrelated objects never contend.
+//! (and, under [`Padded`], a cache line) of their own, so unrelated objects
+//! never contend.
 //!
-//! Every register is [`CachePadded`]: the cell pool of the bounded
-//! universal construction is written by many processors at once, and false
-//! sharing between neighbouring registers was the dominant cost at 4+
-//! threads before padding.
+//! Register storage follows a compile-time [`Layout`]. The default,
+//! [`Padded`], gives every register a 128-byte [`CachePadded`] line: the
+//! cell pool of the bounded universal construction is written by many
+//! processors at once, and false sharing between neighbouring registers was
+//! the dominant cost at 4+ threads before padding. [`Packed`] stores each
+//! register at its natural size (an `AtomicU64` in 8 bytes) and is for
+//! arenas that exactly one thread touches — [`OwnedMem`], the word space
+//! of a single-owner service shard — where padding buys nothing and costs
+//! 16× the bytes of a word register. Both layouts run the same code for
+//! every primitive, with the same orderings; only the bytes per register
+//! differ.
 
 use crate::{
     AtomicId, CachePadded, DataId, DataMem, JamOutcome, Pid, SafeId, StickyBitId, StickyWordId,
     TasId, Tri, Word, WordMem, STICKY_WORD_UNDEF,
 };
 use parking_lot::RwLock;
+use std::fmt::Debug;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// 2-bit lane encodings of `{⊥, 0, 1}`.
@@ -64,10 +74,77 @@ impl LaneRef {
     }
 }
 
+/// How [`NativeMem`] stores each register: the choice is a type, made once
+/// per arena, so no primitive pays a runtime branch for it.
+pub trait Layout: Debug + Default {
+    /// A zero-sized alignment marker carried by every register slot: it
+    /// sets the slot's alignment, and so (rounded up) its size.
+    type Align: Debug + Default + Send + Sync;
+}
+
+/// One cache line per register — for arenas that several threads share.
+#[derive(Debug, Default)]
+pub struct Padded;
+
+/// Registers at their natural size — for arenas that exactly one thread
+/// touches, where there is no false sharing to prevent.
+#[derive(Debug, Default)]
+pub struct Packed;
+
+impl Layout for Padded {
+    type Align = CachePadded<()>;
+}
+
+impl Layout for Packed {
+    type Align = ();
+}
+
+/// One register's storage under layout `L`: `T` plus `L`'s alignment
+/// marker. A `Slot<AtomicU64, Packed>` is 8 bytes; a
+/// `Slot<AtomicU64, Padded>` is a whole 128-byte line.
+#[derive(Debug, Default)]
+struct Slot<T, L: Layout> {
+    value: T,
+    _align: L::Align,
+}
+
+impl<T, L: Layout> Slot<T, L> {
+    fn new(value: T) -> Self {
+        Self {
+            value,
+            _align: L::Align::default(),
+        }
+    }
+}
+
+impl<T, L: Layout> Deref for Slot<T, L> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+/// A [`NativeMem`] for an arena touched by exactly one thread: the same
+/// primitives, packed (see [`Packed`]).
+///
+/// ```
+/// use sbu_mem::{native::OwnedMem, Pid, Tri, WordMem};
+///
+/// let mut mem: OwnedMem<()> = OwnedMem::default();
+/// let s = mem.alloc_sticky_bit();
+/// assert!(mem.sticky_jam(Pid(0), s, true).is_success());
+/// assert_eq!(mem.sticky_read(Pid(0), s), Tri::One);
+/// ```
+pub type OwnedMem<P> = NativeMem<P, Packed>;
+
 /// Shared memory backed by real atomics.
 ///
 /// `P` is the payload type of data cells; use `()` when only word-level
-/// registers are needed.
+/// registers are needed. `L` is the register [`Layout`]: [`Padded`] (the
+/// default, what [`NativeMem::new`] builds) for arenas shared between
+/// threads, [`Packed`] ([`OwnedMem`]) for single-owner ones.
 ///
 /// ```
 /// use sbu_mem::{native::NativeMem, WordMem, JamOutcome, Pid, Tri};
@@ -78,18 +155,18 @@ impl LaneRef {
 /// assert_eq!(mem.sticky_jam(Pid(1), s, false), JamOutcome::Fail);
 /// assert_eq!(mem.sticky_read(Pid(1), s), Tri::One);
 /// ```
-#[derive(Debug, Default)]
-pub struct NativeMem<P> {
-    safes: Vec<CachePadded<AtomicU64>>,
-    atomics: Vec<CachePadded<AtomicU64>>,
+#[derive(Debug)]
+pub struct NativeMem<P, L: Layout = Padded> {
+    safes: Vec<Slot<AtomicU64, L>>,
+    atomics: Vec<Slot<AtomicU64, L>>,
     /// Packed 2-bit sticky lanes; see [`LaneRef`].
-    sticky_lanes: Vec<CachePadded<AtomicU64>>,
+    sticky_lanes: Vec<Slot<AtomicU64, L>>,
     /// `StickyBitId` → lane location.
     sticky_map: Vec<LaneRef>,
-    sticky_words: Vec<CachePadded<AtomicU64>>,
-    tas_bits: Vec<CachePadded<AtomicBool>>,
-    data: Vec<CachePadded<RwLock<Option<P>>>>,
-    clock: CachePadded<AtomicU64>,
+    sticky_words: Vec<Slot<AtomicU64, L>>,
+    tas_bits: Vec<Slot<AtomicBool, L>>,
+    data: Vec<Slot<RwLock<Option<P>>, L>>,
+    clock: Slot<AtomicU64, L>,
     obs: MemObs,
 }
 
@@ -112,9 +189,8 @@ impl MemObs {
     }
 }
 
-impl<P> NativeMem<P> {
-    /// An empty backend.
-    pub fn new() -> Self {
+impl<P, L: Layout> Default for NativeMem<P, L> {
+    fn default() -> Self {
         Self {
             safes: Vec::new(),
             atomics: Vec::new(),
@@ -123,11 +199,21 @@ impl<P> NativeMem<P> {
             sticky_words: Vec::new(),
             tas_bits: Vec::new(),
             data: Vec::new(),
-            clock: CachePadded::new(AtomicU64::new(0)),
+            clock: Slot::default(),
             obs: MemObs::default(),
         }
     }
+}
 
+impl<P> NativeMem<P> {
+    /// An empty backend with the [`Padded`] layout. For a single-owner
+    /// arena, use `OwnedMem::default()` instead.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<P, L: Layout> NativeMem<P, L> {
     /// Attach this backend's instruments to `registry` (setup-time only;
     /// see [`MemObs`] for what is recorded). With the `obs` cargo feature
     /// off this is a no-op.
@@ -190,21 +276,21 @@ impl AllocationCensus {
     }
 }
 
-impl<P: Send + Sync> WordMem for NativeMem<P> {
+impl<P: Send + Sync, L: Layout> WordMem for NativeMem<P, L> {
     fn alloc_safe(&mut self, init: Word) -> SafeId {
-        self.safes.push(CachePadded::new(AtomicU64::new(init)));
+        self.safes.push(Slot::new(AtomicU64::new(init)));
         SafeId(self.safes.len() - 1)
     }
 
     fn alloc_atomic(&mut self, init: Word) -> AtomicId {
-        self.atomics.push(CachePadded::new(AtomicU64::new(init)));
+        self.atomics.push(Slot::new(AtomicU64::new(init)));
         AtomicId(self.atomics.len() - 1)
     }
 
     fn alloc_sticky_bit(&mut self) -> StickyBitId {
-        // A solo bit gets a word (= cache line) of its own: unrelated
-        // sticky bits must never contend on one CAS word.
-        self.sticky_lanes.push(CachePadded::default());
+        // A solo bit gets a word (under `Padded`, a cache line) of its
+        // own: unrelated sticky bits must never contend on one CAS word.
+        self.sticky_lanes.push(Slot::default());
         self.push_lane(self.sticky_lanes.len() - 1, 0)
     }
 
@@ -213,7 +299,7 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
         // group snapshots with a single load (`sticky_read_word`).
         let mut ids = Vec::with_capacity(count);
         for chunk in 0..count.div_ceil(LANES_PER_WORD) {
-            self.sticky_lanes.push(CachePadded::default());
+            self.sticky_lanes.push(Slot::default());
             let word = self.sticky_lanes.len() - 1;
             let lanes = (count - chunk * LANES_PER_WORD).min(LANES_PER_WORD);
             for lane in 0..lanes {
@@ -225,12 +311,12 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
 
     fn alloc_sticky_word(&mut self) -> StickyWordId {
         self.sticky_words
-            .push(CachePadded::new(AtomicU64::new(STICKY_WORD_UNDEF)));
+            .push(Slot::new(AtomicU64::new(STICKY_WORD_UNDEF)));
         StickyWordId(self.sticky_words.len() - 1)
     }
 
     fn alloc_tas(&mut self) -> TasId {
-        self.tas_bits.push(CachePadded::default());
+        self.tas_bits.push(Slot::default());
         TasId(self.tas_bits.len() - 1)
     }
 
@@ -383,9 +469,9 @@ impl<P: Send + Sync> WordMem for NativeMem<P> {
     }
 }
 
-impl<P: Clone + Send + Sync> DataMem<P> for NativeMem<P> {
+impl<P: Clone + Send + Sync, L: Layout> DataMem<P> for NativeMem<P, L> {
     fn alloc_data(&mut self, init: Option<P>) -> DataId {
-        self.data.push(CachePadded::new(RwLock::new(init)));
+        self.data.push(Slot::new(RwLock::new(init)));
         DataId(self.data.len() - 1)
     }
 
@@ -408,6 +494,36 @@ impl<P: Clone + Send + Sync> DataMem<P> for NativeMem<P> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn slot_sizes_pin_both_layouts() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Slot<AtomicU64, Packed>>(), 8);
+        assert_eq!(size_of::<Slot<AtomicBool, Packed>>(), 1);
+        assert_eq!(size_of::<Slot<AtomicU64, Padded>>(), 128);
+        assert_eq!(size_of::<Slot<AtomicBool, Padded>>(), 128);
+        assert_eq!(
+            size_of::<Slot<RwLock<Option<u64>>, Packed>>(),
+            size_of::<RwLock<Option<u64>>>()
+        );
+        assert_eq!(size_of::<Slot<RwLock<Option<u64>>, Padded>>(), 128);
+    }
+
+    #[test]
+    fn layouts_allocate_the_same_registers() {
+        fn fill<L: Layout>(mem: &mut NativeMem<u32, L>) -> AllocationCensus {
+            mem.alloc_safe(0);
+            mem.alloc_atomic(0);
+            mem.alloc_sticky_bits(40);
+            mem.alloc_sticky_word();
+            mem.alloc_tas();
+            mem.alloc_data(None);
+            mem.allocation_census()
+        }
+        let padded = fill(&mut NativeMem::new());
+        let packed = fill(&mut OwnedMem::default());
+        assert_eq!(padded, packed);
+    }
 
     #[test]
     fn safe_and_atomic_registers_roundtrip() {

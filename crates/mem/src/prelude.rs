@@ -24,7 +24,9 @@
 //! * **Constructors are `new`/`with_*`** — [`NativeMem::new`],
 //!   [`DurableMem::new`], [`DurableMem::with_policy`], and `sbu-sim`'s
 //!   `SimMem::new(n_procs)`. `new` takes the required configuration;
-//!   `with_*` variants layer optional policy on top.
+//!   `with_*` variants layer optional policy on top. The packed,
+//!   single-owner twin of `NativeMem`, [`OwnedMem`], is built with
+//!   `OwnedMem::default()`.
 //! * **Allocation methods are `alloc_*`** and take `&mut self` — they run
 //!   in the single-threaded *setup phase* before any processor steps, and
 //!   return plain-old-data handles ([`SafeId`], [`AtomicId`],
@@ -39,7 +41,7 @@
 
 pub use crate::contention::{Backoff, CachePadded};
 pub use crate::durable::{DurableMem, DurableObs, TornPersist};
-pub use crate::native::{MemObs, NativeMem};
+pub use crate::native::{MemObs, NativeMem, OwnedMem};
 pub use crate::traits::{DataMem, JamOutcome, WordMem};
 pub use crate::{AccessKind, LocId, Word, STICKY_WORD_UNDEF};
 pub use crate::{AtomicId, DataId, SafeId, StickyBitId, StickyWordId, TasId};

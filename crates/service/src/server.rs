@@ -66,7 +66,7 @@ use crate::wire::{
     KIND_UNAVAILABLE,
 };
 use sbu_core::CellPayload;
-use sbu_mem::{DataMem, DurableMem, NativeMem};
+use sbu_mem::{DataMem, DurableMem, OwnedMem};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -304,7 +304,7 @@ where
                 // The recovery mode picks the shards' word space, once.
                 match self.recovery {
                     Recovery::Volatile => thread.spawn(move || {
-                        Worker::<S, NativeMem<_>>::new(ctx).supervise(&*transport, &obs)
+                        Worker::<S, OwnedMem<_>>::new(ctx).supervise(&*transport, &obs)
                     }),
                     Recovery::Durable => thread.spawn(move || {
                         Worker::<S, DurableMem<_>>::new(ctx).supervise(&*transport, &obs)
@@ -484,7 +484,7 @@ trait WorkerMem<S: WireCodec>: DataMem<CellPayload<S>> + Sized {
     fn respawn(worker: &mut Worker<S, Self>);
 }
 
-impl<S> WorkerMem<S> for NativeMem<CellPayload<S>>
+impl<S> WorkerMem<S> for OwnedMem<CellPayload<S>>
 where
     S: WireCodec + Send + Sync,
     S::Op: Send + Sync,
@@ -505,7 +505,7 @@ where
     }
 }
 
-impl<S> WorkerMem<S> for DurableMem<NativeMem<CellPayload<S>>>
+impl<S> WorkerMem<S> for DurableMem<OwnedMem<CellPayload<S>>>
 where
     S: WireCodec + Send + Sync,
     S::Op: Send + Sync,
@@ -636,6 +636,11 @@ where
     /// The one request path: decode a drain, admit each frame, then commit
     /// the fresh frames one key group at a time and reply.
     ///
+    /// * **Decode**: a blob whose length prefix is impossible
+    ///   ([`WireError::BadLength`](crate::wire::WireError::BadLength)) leaves
+    ///   no frame boundary to resync on, so the decoder drops what it holds
+    ///   and the drain goes on with the next blob; the blob counts as
+    ///   `service.bad_payload` and its senders retransmit.
     /// * **Admission**, frame by frame: a frame that is not a request is
     ///   dropped; the seeded-kill hook ticks; a retransmit is answered from
     ///   the dedup window, or — if its original is earlier in this drain —
@@ -692,7 +697,11 @@ where
                     // decoder skipped it. The sender's retransmission is the
                     // recovery path.
                     Err(err) if err.is_recoverable() => continue,
-                    Err(err) => panic!("unrecoverable request stream: {err}"),
+                    Err(_) => {
+                        obs.bad_payload.incr(w);
+                        dec.reset();
+                        break;
+                    }
                 }
             }
         }
@@ -829,7 +838,7 @@ mod tests {
             seed: 0,
             group_commit: true,
         };
-        let mut worker = Worker::<CounterSpec, NativeMem<_>>::new(ctx);
+        let mut worker = Worker::<CounterSpec, OwnedMem<_>>::new(ctx);
         let transport = Arc::new(InProcess::new(1, 1, 0));
         let obs = ServiceObs::register(&sbu_obs::Registry::new(2));
         let a = |seq| request_frame::<CounterSpec>(0, seq, 5, &CounterOp::Inc).to_bytes();
@@ -1039,6 +1048,25 @@ mod tests {
         );
         let snap = svc.obs_snapshot();
         svc.shutdown();
+        if cfg!(feature = "obs") {
+            assert_eq!(snap.counter("service.bad_payload"), 1);
+        }
+    }
+
+    #[test]
+    fn impossible_length_prefix_is_dropped_and_the_worker_keeps_serving() {
+        // A blob whose length prefix (3) is shorter than any frame header
+        // leaves the decoder no boundary to resync on. The worker drops it,
+        // counts it, and serves the next honest call.
+        let mut svc = Service::builder(1)
+            .retry(RetryPolicy::patient().with_deadline(std::time::Duration::from_secs(5)))
+            .build(CounterSpec::new());
+        let mut raw = Arc::clone(&svc.transport).connect(0);
+        raw.send(0, Delivery::Intact(vec![3, 0, 0, 0, 0xEE, 0xEE, 0xEE]));
+        assert_eq!(svc.client(0).call(1, &CounterOp::Inc).unwrap(), 1);
+        let snap = svc.obs_snapshot();
+        let stats = svc.shutdown();
+        assert_eq!(stats[0].ops, 1);
         if cfg!(feature = "obs") {
             assert_eq!(snap.counter("service.bad_payload"), 1);
         }

@@ -7,26 +7,31 @@
 //! control lives *inside* each `Universal`, and the shard can take `&mut
 //! self` for the lazy key → object table. Per-key instances are built with
 //! `n = 1` (the owning worker is the only processor that ever applies to
-//! them), which makes them tiny: the Θ(n²) pool collapses to its constant
-//! floor, and the PR's slab-allocated bit matrices mean a key costs two
-//! `Vec`s and a handful of memory locations, so millions of keys are
-//! feasible. Each instance is labeled with the shard id via the builder's
-//! `shard(..)` seam for observability.
+//! them), so the Θ(n²) pool collapses to its constant floor. Each instance
+//! is labeled with the shard id via the builder's `shard(..)` seam for
+//! observability.
+//!
+//! Because one thread owns the whole arena, its registers are **packed**
+//! ([`OwnedMem`]): the 128-byte line per register that keeps processors
+//! from false sharing in a shared arena buys nothing here. A counter key
+//! then costs ≈6 KB of heap, ≈8 KB under group commit (≈36 and ≈40 KB
+//! padded), with the same register count; `crates/service/tests/footprint.rs`
+//! gates both.
 //!
 //! The shard is generic over its word space `M`: the plain service uses
-//! [`NativeMem`] (volatile — state dies with the worker), while the
+//! [`OwnedMem`] (volatile — state dies with the worker), while the
 //! supervised durable mode wraps it in `DurableMem` ([`DurableShard`]) so
 //! a worker kill can run the real crash–restart protocol
 //! ([`Shard::crash_recover`]) and recover every key.
 
 use crate::wire::WireCodec;
 use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
-use sbu_mem::{DataMem, DurableMem, NativeMem, Pid};
+use sbu_mem::{DataMem, DurableMem, OwnedMem, Pid};
 use std::collections::HashMap;
 
 /// A single-owner slice of the keyed object space over word space `M`
 /// (which must implement `DataMem<CellPayload<S>>` to be applied to).
-pub struct Shard<S: WireCodec, M = NativeMem<CellPayload<S>>> {
+pub struct Shard<S: WireCodec, M = OwnedMem<CellPayload<S>>> {
     /// This shard's index in the [`crate::ShardMap`] partition.
     id: usize,
     /// The initial state cloned into every freshly touched key.
@@ -52,7 +57,7 @@ where
     /// An empty volatile shard; keys materialize on first touch as clones
     /// of `template`.
     pub fn new(id: usize, template: S) -> Self {
-        Self::with_mem(id, template, NativeMem::new())
+        Self::with_mem(id, template, OwnedMem::default())
     }
 }
 
@@ -85,16 +90,25 @@ where
         self
     }
 
-    /// Materialize the object at `key` if this is its first touch.
-    fn materialize(&mut self, key: u64) {
-        if !self.objects.contains_key(&key) {
-            let config = UniversalConfig::for_procs(1).group_commit(self.group_commit);
-            let built = Universal::builder(1)
+    /// The object at `key`, materialized on its first touch, and the word
+    /// space it lives in — one hash lookup either way.
+    fn object(&mut self, key: u64) -> (&Universal<S>, &M) {
+        let Self {
+            id,
+            template,
+            mem,
+            objects,
+            group_commit,
+            ..
+        } = self;
+        let obj = objects.entry(key).or_insert_with(|| {
+            let config = UniversalConfig::for_procs(1).group_commit(*group_commit);
+            Universal::builder(1)
                 .config(config)
-                .shard(self.id)
-                .build(&mut self.mem, self.template.clone());
-            self.objects.insert(key, built);
-        }
+                .shard(*id)
+                .build(mem, template.clone())
+        });
+        (obj, mem)
     }
 
     /// Apply `op` to the object at `key`, materializing it if this is the
@@ -102,9 +116,8 @@ where
     /// the instance's only processor.
     pub fn apply(&mut self, key: u64, op: &S::Op) -> S::Resp {
         self.ops += 1;
-        self.materialize(key);
-        let obj = &self.objects[&key];
-        obj.apply(&self.mem, Pid(0), op)
+        let (obj, mem) = self.object(key);
+        obj.apply(mem, Pid(0), op)
     }
 
     /// Apply a whole block of `ops` to the object at `key`. Under
@@ -123,19 +136,19 @@ where
     /// nothing.
     pub(crate) fn apply_batch_into(&mut self, key: u64, ops: &[S::Op], resps: &mut Vec<S::Resp>) {
         self.ops += ops.len() as u64;
-        self.materialize(key);
-        let obj = &self.objects[&key];
-        if self.group_commit {
-            resps.extend(obj.apply_batch(&self.mem, Pid(0), ops));
+        let group_commit = self.group_commit;
+        let (obj, mem) = self.object(key);
+        if group_commit {
+            resps.extend(obj.apply_batch(mem, Pid(0), ops));
         } else {
-            resps.extend(ops.iter().map(|op| obj.apply(&self.mem, Pid(0), op)));
+            resps.extend(ops.iter().map(|op| obj.apply(mem, Pid(0), op)));
         }
     }
 }
 
-/// A shard whose word space is a [`DurableMem`] over [`NativeMem`]: the
+/// A shard whose word space is a [`DurableMem`] over [`OwnedMem`]: the
 /// recoverable twin of the plain [`Shard`], built by [`Shard::durable`].
-pub type DurableShard<S> = Shard<S, DurableMem<NativeMem<CellPayload<S>>>>;
+pub type DurableShard<S> = Shard<S, DurableMem<OwnedMem<CellPayload<S>>>>;
 
 impl<S> DurableShard<S>
 where
@@ -148,7 +161,7 @@ where
     /// stays off: the durable kill path requeues unapplied frames one by
     /// one, a per-command contract.
     pub fn durable(id: usize, template: S) -> Self {
-        Self::with_mem(id, template, DurableMem::new(NativeMem::new()))
+        Self::with_mem(id, template, DurableMem::new(OwnedMem::default()))
     }
 
     /// Model the owning worker dying and coming back: crash the shard's
@@ -185,6 +198,12 @@ impl<S: WireCodec, M> Shard<S, M> {
     /// Total operations this shard has applied.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// The word space every key's registers live in (for footprint
+    /// accounting, e.g. `OwnedMem::allocation_census`).
+    pub fn mem(&self) -> &M {
+        &self.mem
     }
 }
 

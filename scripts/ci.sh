@@ -107,6 +107,9 @@ fi
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
 cargo test --quiet --offline -p sbu-service
 
+step "shard footprint gate (heap bytes and registers per key on a fresh shard)"
+cargo test --quiet --offline -p sbu-service --test footprint -- --nocapture
+
 step "benchmark package builds and tests against the service's public API"
 CARGO_TARGET_DIR=.bench_build cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
 
