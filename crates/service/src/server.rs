@@ -284,7 +284,13 @@ where
             None => inner,
         };
 
-        let workers = (0..self.workers)
+        // Each worker reports once its shards are allocated, and `build`
+        // returns only after every report: glibc binds a thread to a malloc
+        // arena at its first allocation, so a client thread allocating
+        // before a fresh worker could take the arena a previous service's
+        // worker freed, leaving that arena resident beside a new one.
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
+        let workers: Vec<_> = (0..self.workers)
             .map(|w| {
                 let ctx = WorkerCtx {
                     w,
@@ -300,19 +306,33 @@ where
                 };
                 let transport = Arc::clone(&transport);
                 let obs = Arc::clone(&obs);
+                let started = started_tx.clone();
                 let thread = std::thread::Builder::new().name(format!("sbu-service-worker-{w}"));
                 // The recovery mode picks the shards' word space, once.
                 match self.recovery {
                     Recovery::Volatile => thread.spawn(move || {
-                        Worker::<S, OwnedMem<_>>::new(ctx).supervise(&*transport, &obs)
+                        Worker::<S, OwnedMem<_>>::new(ctx)
+                            .started(started)
+                            .supervise(&*transport, &obs)
                     }),
                     Recovery::Durable => thread.spawn(move || {
-                        Worker::<S, DurableMem<_>>::new(ctx).supervise(&*transport, &obs)
+                        Worker::<S, DurableMem<_>>::new(ctx)
+                            .started(started)
+                            .supervise(&*transport, &obs)
                     }),
                 }
                 .expect("spawn worker")
             })
             .collect();
+        drop(started_tx);
+        for _ in 0..workers.len() {
+            // Every sender is gone short of a report: a worker died in
+            // `Worker::new`. Stop the rest rather than leave them parked.
+            if started.recv().is_err() {
+                transport.shutdown();
+                panic!("a service worker died before its shards were built");
+            }
+        }
 
         let clients = (0..self.clients)
             .map(|c| {
@@ -596,6 +616,13 @@ where
         }
     }
 
+    /// Tell `build` this worker's shards exist.
+    fn started(self, started: std::sync::mpsc::Sender<()>) -> Self {
+        // Fails only if `build` already gave up on a sibling worker.
+        let _ = started.send(());
+        self
+    }
+
     /// The supervisor: serve, and when a seeded kill unwinds the loop,
     /// recover per the recovery mode and serve again. Returns the shard
     /// totals once the transport stops.
@@ -820,6 +847,64 @@ mod tests {
     use crate::transport::ConnEvent;
     use crate::wire::{request_frame, WireError};
     use sbu_spec::specs::{CounterOp, CounterSpec, JamWordOp, JamWordResp, JamWordSpec};
+
+    #[test]
+    fn build_waits_for_its_workers_and_back_to_back_services_shut_down() {
+        for round in 0..50 {
+            let mut svc = Service::builder(8)
+                .workers(4)
+                .clients(2)
+                .build(CounterSpec::new());
+            let stats = svc.shutdown();
+            let shards: Vec<usize> = stats.iter().map(|s| s.shard).collect();
+            assert_eq!(shards, (0..8).collect::<Vec<_>>(), "round {round}");
+        }
+    }
+
+    /// A counter whose clone panics on a service worker thread, so a
+    /// worker dies building its shards.
+    #[derive(Debug, PartialEq)]
+    struct NoWorkerClone(CounterSpec);
+
+    impl Clone for NoWorkerClone {
+        fn clone(&self) -> Self {
+            let name = std::thread::current().name().unwrap_or("").to_owned();
+            assert!(!name.starts_with("sbu-service-worker"), "clone on {name}");
+            NoWorkerClone(self.0)
+        }
+    }
+
+    impl sbu_spec::SequentialSpec for NoWorkerClone {
+        type Op = CounterOp;
+        type Resp = u64;
+
+        fn apply(&mut self, op: &CounterOp) -> u64 {
+            self.0.apply(op)
+        }
+    }
+
+    impl WireCodec for NoWorkerClone {
+        fn encode_op(op: &CounterOp, out: &mut Vec<u8>) {
+            CounterSpec::encode_op(op, out)
+        }
+        fn decode_op(bytes: &[u8]) -> Result<CounterOp, WireError> {
+            CounterSpec::decode_op(bytes)
+        }
+        fn encode_resp(resp: &u64, out: &mut Vec<u8>) {
+            CounterSpec::encode_resp(resp, out)
+        }
+        fn decode_resp(bytes: &[u8]) -> Result<u64, WireError> {
+            CounterSpec::decode_resp(bytes)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a service worker died before its shards were built")]
+    fn build_panics_instead_of_hanging_when_a_worker_dies_starting() {
+        Service::builder(4)
+            .workers(2)
+            .build(NoWorkerClone(CounterSpec::new()));
+    }
 
     #[test]
     fn in_drain_retransmit_is_answered_from_the_window_whatever_its_size() {

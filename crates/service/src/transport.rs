@@ -13,9 +13,14 @@
 //!
 //! Three implementations exist:
 //!
-//! * [`InProcess`] (here) — the original mailbox plane: lock-and-condvar
-//!   queues standing exactly where a socket would stand. Zero syscalls,
-//!   the baseline for experiment E15.
+//! * [`InProcess`] (here) — the mailbox plane: byte-blob queues standing
+//!   exactly where a socket would stand, the baseline for experiment E15.
+//!   A worker parks on its inbox's condvar until a request arrives; a
+//!   client waiting for its reply first spins on the reply box's
+//!   published length for an adaptive budget (at most 20 µs, yielding the
+//!   core every few dozen polls) and parks only if the reply is slower —
+//!   so a warm round trip costs no futex sleep or wake-up on the reply
+//!   side (see `Mailbox`).
 //! * [`crate::socket::Socket`] — a real blocking TCP or Unix-domain-socket
 //!   listener: an acceptor thread plus per-connection readers feeding the
 //!   same per-worker inboxes through [`crate::FrameDecoder`].
@@ -27,14 +32,14 @@
 //! A transport is picked with [`TransportConfig`] on
 //! [`crate::Service::builder`].
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::wire::{Frame, FrameDecoder};
+use crate::wire::Frame;
 
 /// Which transport a [`crate::Service`] is built on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -180,28 +185,95 @@ pub trait ClientConn: Send {
     fn reconnect(&mut self) -> bool;
 }
 
-/// A byte-blob queue with a wakeup signal and an optional high watermark —
-/// the shared inbox core of both the in-process and the socket transport.
+/// A byte-blob queue with a wake-up signal and an optional high watermark —
+/// the shared inbox core of both the in-process and the socket transport,
+/// and the in-process transport's reply box.
+///
+/// Every mutation stores the new queue length in `len` under the lock and
+/// notifies after it. A reply waiter ([`pop_until`](Self::pop_until)) that
+/// finds the queue empty polls `len` for up to the mailbox's adaptive
+/// [`SpinBudget`], yielding the core every [`POLLS_PER_YIELD`] polls, and
+/// only then takes the lock and parks on the condvar — the same
+/// lock-and-condvar protocol as before, so a spin can only shorten a wait,
+/// never lose a wake-up. A worker ([`drain`](Self::drain)) parks at once.
 pub(crate) struct Mailbox {
     queue: Mutex<VecDeque<Vec<u8>>>,
+    /// `queue.len()`, stored under the queue lock; spinning waiters poll it.
+    len: AtomicUsize,
     ready: Condvar,
     /// Request-push high watermark; `0` = unbounded.
     capacity: usize,
+    spin: SpinBudget,
+}
+
+/// Spin polls between two `thread::yield_now` calls. With more runnable
+/// threads than cores (two clients and two workers on two cores), a
+/// spinner that never yields holds the core its producer needs.
+const POLLS_PER_YIELD: u32 = 32;
+
+/// A spin budget never grows past this, and a wait longer than this
+/// shrinks it: a handoff that takes longer is not worth a core.
+const SPIN_CAP_NS: u32 = 20_000;
+
+/// The first non-zero budget; a shrink below it snaps to zero.
+const SPIN_FLOOR_NS: u32 = 2_000;
+
+/// How long a mailbox's waiter spins before parking, adapted from the
+/// waits it has seen, like KVM halt-polling. It starts at zero. A wait the
+/// spin did not cover but that ended within [`SPIN_CAP_NS`] doubles it
+/// (from [`SPIN_FLOOR_NS`], up to the cap); a longer wait — a failed spin
+/// followed by a long park, or a timeout — halves it, down to zero.
+#[derive(Debug, Default)]
+struct SpinBudget {
+    ns: AtomicU32,
+}
+
+impl SpinBudget {
+    /// The current budget.
+    fn get(&self) -> Duration {
+        Duration::from_nanos(u64::from(self.ns.load(Ordering::Relaxed)))
+    }
+
+    /// Adapt to a finished wait of `waited` (spin plus park).
+    fn record(&self, waited: Duration) {
+        let budget = self.ns.load(Ordering::Relaxed);
+        let waited = u32::try_from(waited.as_nanos()).unwrap_or(u32::MAX);
+        let next = if waited <= budget {
+            budget // the spin caught it
+        } else if waited <= SPIN_CAP_NS {
+            (budget * 2).clamp(SPIN_FLOOR_NS, SPIN_CAP_NS)
+        } else if budget / 2 >= SPIN_FLOOR_NS {
+            budget / 2
+        } else {
+            0
+        };
+        self.ns.store(next, Ordering::Relaxed);
+    }
 }
 
 impl Mailbox {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             ready: Condvar::new(),
             capacity,
+            spin: SpinBudget::default(),
         }
+    }
+
+    /// Publish the queue's new length, unlock, and wake a waiter.
+    fn publish(&self, q: MutexGuard<'_, VecDeque<Vec<u8>>>) {
+        self.len.store(q.len(), Ordering::Release);
+        drop(q);
+        self.ready.notify_one();
     }
 
     /// Push unconditionally (reply boxes, fault-bypassing paths).
     pub(crate) fn push(&self, bytes: Vec<u8>) {
-        self.queue.lock().push_back(bytes);
-        self.ready.notify_one();
+        let mut q = self.queue.lock();
+        q.push_back(bytes);
+        self.publish(q);
     }
 
     /// Push a request, shedding at the high watermark: `false` means the
@@ -212,56 +284,80 @@ impl Mailbox {
             return false;
         }
         q.push_back(bytes);
-        drop(q);
-        self.ready.notify_one();
+        self.publish(q);
         true
     }
 
     /// Requeue bytes at the front (the durable kill path).
     pub(crate) fn push_front(&self, bytes: Vec<u8>) {
-        self.queue.lock().push_front(bytes);
-        self.ready.notify_one();
+        let mut q = self.queue.lock();
+        q.push_front(bytes);
+        self.publish(q);
     }
 
     /// Block until at least one blob is queued (drain up to `max`) or
-    /// `stop` is set with the queue empty.
+    /// `stop` is set with the queue empty. Parks at once: a worker that
+    /// spun here would take the core from the socket readers feeding it.
     pub(crate) fn drain(&self, max: usize, stop: &AtomicBool) -> RecvOutcome {
         let mut q = self.queue.lock();
-        loop {
-            if let Some(bytes) = q.pop_front() {
-                let mut blobs = vec![bytes];
-                while blobs.len() < max {
-                    match q.pop_front() {
-                        Some(more) => blobs.push(more),
-                        None => break,
-                    }
-                }
-                let depth = q.len() as u64;
-                return RecvOutcome::Batch { blobs, depth };
-            }
+        while q.is_empty() {
             if stop.load(Ordering::SeqCst) {
                 return RecvOutcome::Stopped;
             }
             self.ready.wait(&mut q);
         }
-    }
-
-    /// Pop one blob before `until`; `None` on timeout.
-    pub(crate) fn pop_until(&self, until: Instant) -> Option<Vec<u8>> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(bytes) = q.pop_front() {
-                return Some(bytes);
-            }
-            if self.ready.wait_until(&mut q, until).timed_out() {
-                // Lost race between a notify and the timeout: recheck.
-                return q.pop_front();
-            }
+        let n = q.len().min(max);
+        let blobs: Vec<Vec<u8>> = q.drain(..n).collect();
+        let depth = q.len();
+        self.len.store(depth, Ordering::Release);
+        RecvOutcome::Batch {
+            blobs,
+            depth: depth as u64,
         }
     }
 
-    /// Wake every waiter (shutdown path).
+    /// Pop one blob before `until`; `None` on timeout. A waiter that finds
+    /// the queue empty spins for up to the mailbox's [`SpinBudget`] before
+    /// it parks.
+    pub(crate) fn pop_until(&self, until: Instant) -> Option<Vec<u8>> {
+        let mut q = if self.len.load(Ordering::Acquire) > 0 {
+            self.queue.lock()
+        } else {
+            let start = Instant::now();
+            self.spin((start + self.spin.get()).min(until));
+            let mut q = self.queue.lock();
+            while q.is_empty() {
+                // A timeout can race a notify: the pop below rechecks.
+                if self.ready.wait_until(&mut q, until).timed_out() {
+                    break;
+                }
+            }
+            self.spin.record(start.elapsed());
+            q
+        };
+        let bytes = q.pop_front();
+        self.len.store(q.len(), Ordering::Release);
+        bytes
+    }
+
+    /// Poll `len` until it is non-zero or `end` passes, yielding the core
+    /// every [`POLLS_PER_YIELD`] polls.
+    fn spin(&self, end: Instant) {
+        while Instant::now() < end {
+            for _ in 0..POLLS_PER_YIELD {
+                if self.len.load(Ordering::Acquire) > 0 {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Wake every waiter (shutdown path). Taking the lock first orders the
+    /// notify after any waiter's stop check, so none parks past it.
     pub(crate) fn notify_all(&self) {
+        drop(self.queue.lock());
         self.ready.notify_all();
     }
 }
@@ -350,9 +446,7 @@ impl ClientConn for InProcessConn {
             return ConnEvent::Timeout;
         };
         // Each mailbox blob is one encoded frame; decode it one-shot.
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        match dec.next_frame() {
+        match Frame::decode(&bytes) {
             Ok(Some(frame)) => ConnEvent::Frame(frame),
             // Incomplete or corrupted blob: detected, counted upstream.
             Ok(None) | Err(_) => ConnEvent::Garbled,
@@ -427,6 +521,122 @@ mod tests {
             .pop_until(Instant::now() + Duration::from_millis(20))
             .is_none());
         assert!(t0.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn spin_budget_starts_at_zero_grows_on_short_waits_and_decays_on_long_ones() {
+        let us = Duration::from_micros;
+        let budget = SpinBudget::default();
+        assert_eq!(budget.get(), Duration::ZERO);
+        // Short parks double it from the floor up to the cap.
+        for want in [2, 4, 8, 16, 20, 20] {
+            budget.record(us(19));
+            assert_eq!(budget.get(), us(want));
+        }
+        // A wait the spin covered leaves it alone.
+        budget.record(us(3));
+        assert_eq!(budget.get(), us(20));
+        // Long waits halve it, and below the floor it snaps to zero.
+        for want in [10_000, 5_000, 2_500, 0, 0] {
+            budget.record(Duration::from_millis(1));
+            assert_eq!(budget.get(), Duration::from_nanos(want));
+        }
+    }
+
+    #[test]
+    fn pop_until_honours_its_deadline_after_the_budget_has_grown() {
+        let mbox = Mailbox::new(0);
+        for _ in 0..8 {
+            mbox.spin.record(Duration::from_micros(19));
+        }
+        assert_eq!(
+            mbox.spin.get(),
+            Duration::from_nanos(u64::from(SPIN_CAP_NS))
+        );
+        for wait in [
+            Duration::ZERO,
+            Duration::from_micros(5),
+            Duration::from_millis(5),
+        ] {
+            let t0 = Instant::now();
+            assert!(mbox.pop_until(t0 + wait).is_none());
+            let took = t0.elapsed();
+            assert!(
+                took >= wait,
+                "returned before its deadline: {took:?} < {wait:?}"
+            );
+            assert!(took < wait + Duration::from_secs(1), "overslept: {took:?}");
+        }
+    }
+
+    #[test]
+    fn drain_returns_stopped_promptly_when_stopped_while_waiting() {
+        let mbox = Arc::new(Mailbox::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let waiter = {
+            let (mbox, stop) = (Arc::clone(&mbox), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let stopped = matches!(mbox.drain(8, &stop), RecvOutcome::Stopped);
+                done_tx.send(stopped).unwrap();
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        stop.store(true, Ordering::SeqCst);
+        mbox.notify_all();
+        assert_eq!(done.recv_timeout(Duration::from_secs(5)), Ok(true));
+        waiter.join().unwrap();
+    }
+
+    /// A client/worker ping-pong over a request and a reply mailbox, with
+    /// random short sleeps on both sides so waits hit every phase: the
+    /// spin, the park, and the gap between them. A lost wake-up shows up as
+    /// a reply wait running into the hard deadline.
+    #[test]
+    fn mailbox_ping_pong_never_loses_a_wakeup() {
+        const ROUND_TRIPS: u32 = 100_000;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let requests = Arc::new(Mailbox::new(0));
+        let replies = Arc::new(Mailbox::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        // Sleep a few microseconds on about one step in 64.
+        let nap = |rng: &mut u64| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            if rng.is_multiple_of(64) {
+                std::thread::sleep(Duration::from_micros(*rng >> 60));
+            }
+        };
+        let worker = {
+            let (requests, replies, stop) = (
+                Arc::clone(&requests),
+                Arc::clone(&replies),
+                Arc::clone(&stop),
+            );
+            std::thread::spawn(move || {
+                let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+                while let RecvOutcome::Batch { blobs, .. } = requests.drain(1, &stop) {
+                    nap(&mut rng);
+                    replies.push(blobs.into_iter().next().unwrap());
+                }
+            })
+        };
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..ROUND_TRIPS {
+            requests.push(i.to_le_bytes().to_vec());
+            nap(&mut rng);
+            let reply = replies.pop_until(deadline);
+            if reply.is_none() {
+                stop.store(true, Ordering::SeqCst);
+                requests.notify_all();
+                panic!("round trip {i} lost its wake-up");
+            }
+            assert_eq!(reply.unwrap(), i.to_le_bytes());
+        }
+        stop.store(true, Ordering::SeqCst);
+        requests.notify_all();
+        worker.join().unwrap();
     }
 
     #[test]

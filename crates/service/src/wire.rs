@@ -177,6 +177,16 @@ impl Frame {
         out
     }
 
+    /// Decode the frame at the start of `bytes` in one shot — what
+    /// [`FrameDecoder::next_frame`] returns after being fed `bytes`,
+    /// without buffering them.
+    pub fn decode(bytes: &[u8]) -> Result<Option<Frame>, WireError> {
+        match frame_len(bytes)? {
+            Some(len) => parse_body(&bytes[4..len]).map(Some),
+            None => Ok(None),
+        }
+    }
+
     /// Whether this is a [`KIND_BUSY`] / [`KIND_UNAVAILABLE`] /
     /// [`KIND_REJECT`] control response rather than an application frame.
     pub fn is_control(&self) -> bool {
@@ -248,38 +258,49 @@ impl FrameDecoder {
     /// the connection.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let pending = &self.buf[self.at..];
-        if pending.len() < 4 {
+        let Some(len) = frame_len(pending)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
-        if !(HEADER..=MAX_FRAME_LEN).contains(&len) {
-            return Err(WireError::BadLength {
-                len: len as u64,
-                buffered: pending.len(),
-            });
-        }
-        if pending.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = pending[4..4 + len].to_vec();
-        self.at += 4 + len;
+        };
+        let frame = parse_body(&pending[4..len]);
+        self.at += len;
         if self.at * 2 > self.buf.len() {
             self.buf.drain(..self.at);
             self.at = 0;
         }
-        let expected = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-        let found = checksum(&body[4..]);
-        if expected != found {
-            return Err(WireError::Corrupt { expected, found });
-        }
-        Ok(Some(Frame {
-            kind: body[4],
-            client: u32::from_le_bytes(body[5..9].try_into().expect("4 bytes")),
-            seq: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
-            key: u64::from_le_bytes(body[17..25].try_into().expect("8 bytes")),
-            payload: body[HEADER..].to_vec(),
-        }))
+        frame.map(Some)
     }
+}
+
+/// The whole length (prefix included) of the frame at the start of
+/// `bytes`, `Ok(None)` until all of it is there.
+fn frame_len(bytes: &[u8]) -> Result<Option<usize>, WireError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if !(HEADER..=MAX_FRAME_LEN).contains(&len) {
+        return Err(WireError::BadLength {
+            len: len as u64,
+            buffered: bytes.len(),
+        });
+    }
+    Ok((bytes.len() >= 4 + len).then_some(4 + len))
+}
+
+/// Verify and parse one frame body (everything after the length prefix).
+fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
+    let expected = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
+    let found = checksum(&body[4..]);
+    if expected != found {
+        return Err(WireError::Corrupt { expected, found });
+    }
+    Ok(Frame {
+        kind: body[4],
+        client: u32::from_le_bytes(body[5..9].try_into().expect("4 bytes")),
+        seq: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
+        key: u64::from_le_bytes(body[17..25].try_into().expect("8 bytes")),
+        payload: body[HEADER..].to_vec(),
+    })
 }
 
 /// Byte encodings for a spec's commands and return values — the payload
@@ -606,6 +627,35 @@ mod tests {
         // The damaged frame was skipped: the next call yields the clean copy.
         assert_eq!(dec.next_frame().unwrap(), Some(good));
         assert_eq!(dec.next_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn one_shot_and_streaming_decode_agree() {
+        let good = request_frame::<CounterSpec>(1, 9, 5, &CounterOp::Add(3)).to_bytes();
+        let mut corrupt = good.clone();
+        *corrupt.last_mut().unwrap() ^= 0x40;
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&good);
+        let mut inputs = vec![
+            good.clone(),
+            corrupt,
+            trailing,
+            3u32.to_le_bytes().to_vec(),
+            ((MAX_FRAME_LEN as u32) + 1).to_le_bytes().to_vec(),
+            Vec::new(),
+        ];
+        // Every truncation, and every single-byte flip, of a valid frame.
+        inputs.extend((0..good.len()).map(|n| good[..n].to_vec()));
+        inputs.extend((0..good.len()).map(|i| {
+            let mut flipped = good.clone();
+            flipped[i] ^= 0x01;
+            flipped
+        }));
+        for bytes in inputs {
+            let mut dec = FrameDecoder::new();
+            dec.push(&bytes);
+            assert_eq!(Frame::decode(&bytes), dec.next_frame(), "{bytes:?}");
+        }
     }
 
     #[test]

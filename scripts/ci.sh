@@ -107,6 +107,13 @@ fi
 step "service unit tests (dark config; the obs config ran in the obs-enabled block above)"
 cargo test --quiet --offline -p sbu-service
 
+step "mailbox handoff stress (100k ping-pong round trips over the spin-then-park wait, hard timeout)"
+# A lost wake-up hangs rather than fails, so the run (not the build) gets a
+# hard timeout of its own.
+cargo test --quiet --release --offline -p sbu-service --lib --no-run
+timeout 120 cargo test --quiet --release --offline -p sbu-service --lib -- \
+    transport::tests::mailbox_ping_pong_never_loses_a_wakeup --exact
+
 step "shard footprint gate (heap bytes and registers per key on a fresh shard)"
 cargo test --quiet --offline -p sbu-service --test footprint -- --nocapture
 
