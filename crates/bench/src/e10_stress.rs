@@ -11,11 +11,12 @@
 //! point is that the wait-free object stays correct and live under the same
 //! torture where a lock holder can stall everyone.
 
-use crate::{render_table, write_obs_artifact};
+use crate::{tabulate, write_bench, write_obs_artifact, Cell, Field};
 use sbu_core::bounded::UniversalConfig;
 use sbu_obs::json::Json;
 use sbu_stress::{
-    run_jam_backoff, run_lock_based_jam, run_workload, Inject, Options, StressConfig, Workload,
+    run_jam_backoff, run_lock_based_jam, run_workload, Inject, Options, StressConfig,
+    TortureReport, Workload,
 };
 
 /// Candidate-switch backoff cap for the tuned arm. A failed bit jam spins
@@ -41,11 +42,56 @@ pub const BATCHED_BACKOFF_LIMIT: u32 = 6;
 /// service plane's drain cap shape (max-size blocks, see E14).
 const BATCHED_SWEEP_CAP: usize = 8;
 
+/// One thread count's three monitored arms.
+struct Arms {
+    threads: usize,
+    native: TortureReport,
+    tuned: TortureReport,
+    lock: TortureReport,
+}
+
+const FIELDS: &[Field<Arms>] = &[
+    ("threads", "threads", |r| Cell::int(r.threads as u64)),
+    ("native_jam", "native jam", |r| {
+        Cell::num(r.native.ops_per_sec(), 0)
+    }),
+    ("native_jam_tuned", "tuned jam", |r| {
+        Cell::num(r.tuned.ops_per_sec(), 0)
+    }),
+    ("tuned_backoff_limit", "", |_| {
+        Cell::int(TUNED_BACKOFF_LIMIT.into())
+    }),
+    ("spin_lock_jam", "spin-lock jam", |r| {
+        Cell::num(r.lock.ops_per_sec(), 0)
+    }),
+    ("", "tuned/lock", |r| {
+        Cell::num(r.tuned.ops_per_sec() / r.lock.ops_per_sec(), 2).suffix("x")
+    }),
+    ("windows_native", "windows (native)", |r| {
+        Cell::int(r.native.windows_checked as u64)
+    }),
+    ("windows_lock", "windows (lock)", |r| {
+        Cell::int(r.lock.windows_checked as u64)
+    }),
+];
+
+/// `(threads, backoff cap, commands/sec)` of the batched re-sweep.
+const BACKOFF_FIELDS: &[Field<(usize, u32, f64)>] = &[
+    ("threads", "threads", |r| Cell::int(r.0 as u64)),
+    ("backoff_limit", "backoff cap", |r| Cell::int(r.1.into())),
+    ("commands_per_sec", "batched cmd/s", |r| Cell::num(r.2, 0)),
+    ("", "production", |r| {
+        Cell::text(if r.1 == BATCHED_BACKOFF_LIMIT {
+            "yes"
+        } else {
+            ""
+        })
+    }),
+];
+
 /// Run the experiment, write `BENCH_e10.json`, and return the report.
 pub fn run() -> String {
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut last_native_metrics = sbu_obs::Snapshot::default();
     for &threads in &[1usize, 2, 4, 8] {
         // Each sweep point is expressed as stress-CLI flags and parsed by
         // the same `Options::parse` the stress example uses, so E10 can
@@ -66,43 +112,23 @@ pub fn run() -> String {
         );
         cfg.objects = opts.objects;
 
-        let native = run_workload(Workload::Jam, &cfg, Inject::None);
-        native.assert_clean();
-        let tuned = run_jam_backoff(&cfg, TUNED_BACKOFF_LIMIT);
-        tuned.assert_clean();
-        let lock = run_lock_based_jam(&cfg);
-        lock.assert_clean();
-        last_native_metrics = native.metrics.clone();
-
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.0}", native.ops_per_sec()),
-            format!("{:.0}", tuned.ops_per_sec()),
-            format!("{:.0}", lock.ops_per_sec()),
-            format!("{:.2}x", tuned.ops_per_sec() / lock.ops_per_sec()),
-            native.windows_checked.to_string(),
-            lock.windows_checked.to_string(),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("threads", Json::Num(threads as f64)),
-            ("native_jam", Json::Num(native.ops_per_sec())),
-            ("native_jam_tuned", Json::Num(tuned.ops_per_sec())),
-            (
-                "tuned_backoff_limit",
-                Json::Num(f64::from(TUNED_BACKOFF_LIMIT)),
-            ),
-            ("spin_lock_jam", Json::Num(lock.ops_per_sec())),
-            ("windows_native", Json::Num(native.windows_checked as f64)),
-            ("windows_lock", Json::Num(lock.windows_checked as f64)),
-        ]));
+        let arms = Arms {
+            threads,
+            native: run_workload(Workload::Jam, &cfg, Inject::None),
+            tuned: run_jam_backoff(&cfg, TUNED_BACKOFF_LIMIT),
+            lock: run_lock_based_jam(&cfg),
+        };
+        arms.native.assert_clean();
+        arms.tuned.assert_clean();
+        arms.lock.assert_clean();
+        rows.push(arms);
     }
-    // Batched-configuration backoff re-sweep (ISSUE 9 satellite): the same
-    // backoff caps, but driving the group-commit bounded construction at
-    // the service drain's block shape instead of per-command JamWord
-    // traffic. Commands/sec via the E14 harness so the arms stay
-    // comparable with that experiment's table.
+    // Batched-configuration backoff re-sweep: the same backoff caps, but
+    // driving the group-commit bounded construction at the service drain's
+    // block shape instead of per-command JamWord traffic. Commands/sec via
+    // the E14 harness so the arms stay comparable with that experiment's
+    // table.
     let mut backoff_rows = Vec::new();
-    let mut backoff_json = Vec::new();
     let backoff_registry = sbu_obs::Registry::new(8);
     for &threads in &[4usize, 8] {
         for &limit in &BATCHED_BACKOFF_SWEEP {
@@ -117,70 +143,43 @@ pub fn run() -> String {
                 config,
                 &backoff_registry,
             );
-            backoff_rows.push(vec![
-                threads.to_string(),
-                limit.to_string(),
-                format!("{tp:.0}"),
-                if limit == BATCHED_BACKOFF_LIMIT {
-                    "yes".into()
-                } else {
-                    String::new()
-                },
-            ]);
-            backoff_json.push(Json::obj(vec![
-                ("threads", Json::Num(threads as f64)),
-                ("backoff_limit", Json::Num(f64::from(limit))),
-                ("commands_per_sec", Json::Num(tp)),
-            ]));
+            backoff_rows.push((threads, limit, tp));
         }
     }
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("e10".into())),
-        ("object", Json::Str("jam_word".into())),
-        ("unit", Json::Str("ops_per_sec".into())),
-        ("rows", Json::Arr(json_rows)),
-        (
-            "batched_backoff",
-            Json::obj(vec![
-                ("batch_cap", Json::Num(BATCHED_SWEEP_CAP as f64)),
-                (
-                    "production_limit",
-                    Json::Num(f64::from(BATCHED_BACKOFF_LIMIT)),
-                ),
-                ("rows", Json::Arr(backoff_json)),
-            ]),
-        ),
-    ]);
-    let mut report = render_table(
-        "E10  monitored torture, ops/sec (Figure 2 JamWord; every window checked online)",
-        &[
-            "threads",
-            "native jam",
-            "tuned jam",
-            "spin-lock jam",
-            "tuned/lock",
-            "windows (native)",
-            "windows (lock)",
-        ],
-        &rows,
-    );
-    report.push('\n');
-    report.push_str(&render_table(
+    let (backoff_table, backoff_doc) = tabulate(
         "E10  batched-configuration backoff re-sweep, commands/sec \
          (group commit on, blocks of 8; production cap marked)",
-        &["threads", "backoff cap", "batched cmd/s", "production"],
+        BACKOFF_FIELDS,
         &backoff_rows,
-    ));
+        vec![
+            ("batch_cap", Json::Num(BATCHED_SWEEP_CAP as f64)),
+            (
+                "production_limit",
+                Json::Num(f64::from(BATCHED_BACKOFF_LIMIT)),
+            ),
+        ],
+    );
+    let (mut report, doc) = tabulate(
+        "E10  monitored torture, ops/sec (Figure 2 JamWord; every window checked online)",
+        FIELDS,
+        &rows,
+        vec![
+            ("experiment", Json::Str("e10".into())),
+            ("object", Json::Str("jam_word".into())),
+            ("unit", Json::Str("ops_per_sec".into())),
+            ("batched_backoff", backoff_doc),
+        ],
+    );
+    report.push('\n');
+    report.push_str(&backoff_table);
+    let last_native_metrics = &rows.last().expect("non-empty sweep").native.metrics;
     if !last_native_metrics.is_empty() {
         report.push('\n');
         report.push_str(
             &last_native_metrics.render_table("E10  native-arm instruments (8-thread sweep)"),
         );
     }
-    match std::fs::write("BENCH_e10.json", doc.render()) {
-        Ok(()) => report.push_str("wrote BENCH_e10.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e10.json: {e}\n")),
-    }
-    report.push_str(&write_obs_artifact("e10", &last_native_metrics));
+    report.push_str(&write_bench("e10", &doc));
+    report.push_str(&write_obs_artifact("e10", last_native_metrics));
     report
 }

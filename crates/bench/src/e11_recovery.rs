@@ -10,14 +10,14 @@
 //! Numbers vary by machine; the *shape* (modest constant-factor overhead,
 //! microsecond-scale recovery) is the reproducible claim.
 
-use crate::{render_table, write_obs_artifact};
-use sbu_core::{CellPayload, Universal};
+use crate::e8_throughput::bounded_throughput;
+use crate::{render_table, timed_threads, write_bench, write_obs_artifact};
+use sbu_core::{bounded::UniversalConfig, CellPayload, Universal};
 use sbu_mem::native::NativeMem;
 use sbu_mem::{DurableMem, Pid, TornPersist, Word};
 use sbu_obs::json::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use sbu_sticky::{JamWord, RecoverableJamWord};
-use std::sync::Arc;
 use std::time::Instant;
 
 const JAM_OBJECTS: usize = 512;
@@ -35,22 +35,12 @@ fn plain_jam_throughput(threads: usize) -> f64 {
     let words: Vec<JamWord> = (0..JAM_OBJECTS)
         .map(|_| JamWord::new(&mut mem, threads, WIDTH))
         .collect();
-    let mem = Arc::new(mem);
-    let words = Arc::new(words);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let words = Arc::clone(&words);
-            s.spawn(move || {
-                for w in words.iter() {
-                    w.jam(&*mem, Pid(i), value_for(Pid(i)));
-                    w.read(&*mem, Pid(i));
-                }
-            });
+    timed_threads(threads, JAM_OBJECTS * 2, |pid| {
+        for w in &words {
+            w.jam(&mem, pid, value_for(pid));
+            w.read(&mem, pid);
         }
-    });
-    (threads * JAM_OBJECTS * 2) as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
 /// Same workload over the durable backend with the recoverable protocol;
@@ -61,22 +51,12 @@ fn recoverable_jam_throughput(threads: usize) -> (f64, f64) {
     let words: Vec<RecoverableJamWord> = (0..JAM_OBJECTS)
         .map(|_| RecoverableJamWord::new(&mut mem, threads, WIDTH))
         .collect();
-    let mem = Arc::new(mem);
-    let words = Arc::new(words);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let words = Arc::clone(&words);
-            s.spawn(move || {
-                for w in words.iter() {
-                    w.jam(&*mem, Pid(i), value_for(Pid(i)));
-                    w.read(&*mem, Pid(i));
-                }
-            });
+    let tp = timed_threads(threads, JAM_OBJECTS * 2, |pid| {
+        for w in &words {
+            w.jam(&mem, pid, value_for(pid));
+            w.read(&mem, pid);
         }
     });
-    let tp = (threads * JAM_OBJECTS * 2) as f64 / t0.elapsed().as_secs_f64();
 
     // Recovery sweep: crash pid 0, restart it, re-drive its announced jam
     // on every object. One-off cost paid at restart, not per operation.
@@ -84,37 +64,14 @@ fn recoverable_jam_throughput(threads: usize) -> (f64, f64) {
     mem.restart(Pid(0));
     let t1 = Instant::now();
     for w in words.iter() {
-        w.recover(&*mem, Pid(0));
+        w.recover(&mem, Pid(0));
     }
     let sweep_us = t1.elapsed().as_secs_f64() * 1e6 / JAM_OBJECTS as f64;
     (tp, sweep_us)
 }
 
-/// Bounded universal counter over the native backend (non-durable baseline).
-fn plain_counter_throughput(threads: usize, registry: &sbu_obs::Registry) -> f64 {
-    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-    mem.attach_obs(registry);
-    let counter = Universal::builder(threads)
-        .obs(registry)
-        .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let counter = counter.clone();
-            s.spawn(move || {
-                for _ in 0..COUNTER_OPS {
-                    counter.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
-        }
-    });
-    (threads * COUNTER_OPS) as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// The same counter over `DurableMem` (recoverable via `Universal::recover`);
-/// also returns the post-crash recovery cost in µs.
+/// The bounded universal counter over `DurableMem` (recoverable via
+/// `Universal::recover`); also returns the post-crash recovery cost in µs.
 fn recoverable_counter_throughput(threads: usize, registry: &sbu_obs::Registry) -> (f64, f64) {
     let mut mem: DurableMem<NativeMem<CellPayload<CounterSpec>>> =
         DurableMem::with_policy(NativeMem::new(), TornPersist::Persist);
@@ -123,25 +80,16 @@ fn recoverable_counter_throughput(threads: usize, registry: &sbu_obs::Registry) 
     let counter = Universal::builder(threads)
         .obs(registry)
         .build(&mut mem, CounterSpec::new());
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let counter = counter.clone();
-            s.spawn(move || {
-                for _ in 0..COUNTER_OPS {
-                    counter.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
+    let tp = timed_threads(threads, COUNTER_OPS, |pid| {
+        for _ in 0..COUNTER_OPS {
+            counter.apply(&mem, pid, &CounterOp::Inc);
         }
     });
-    let tp = (threads * COUNTER_OPS) as f64 / t0.elapsed().as_secs_f64();
 
     mem.crash::<CellPayload<CounterSpec>>(&[Pid(0)]);
     mem.restart(Pid(0));
     let t1 = Instant::now();
-    counter.recover(&*mem, Pid(0));
+    counter.recover(&mem, Pid(0));
     let recover_us = t1.elapsed().as_secs_f64() * 1e6;
     (tp, recover_us)
 }
@@ -163,7 +111,9 @@ pub fn run() -> String {
             format!("{sweep_us:.1}"),
         ]);
 
-        let plain_ctr = plain_counter_throughput(threads, &registry);
+        // The non-durable baseline: the same counter over the native backend.
+        let for_procs = UniversalConfig::for_procs(threads);
+        let plain_ctr = bounded_throughput(threads, COUNTER_OPS, for_procs, &registry);
         let (rec_ctr, recover_us) = recoverable_counter_throughput(threads, &registry);
         ctr_rows.push(vec![
             threads.to_string(),
@@ -216,10 +166,7 @@ pub fn run() -> String {
         out.push('\n');
         out.push_str(&metrics.render_table("E11  counter-arm instruments (all sweeps)"));
     }
-    match std::fs::write("BENCH_e11.json", doc.render()) {
-        Ok(()) => out.push_str("wrote BENCH_e11.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_e11.json: {e}\n")),
-    }
+    out.push_str(&write_bench("e11", &doc));
     out.push_str(&write_obs_artifact("e11", &metrics));
     out
 }

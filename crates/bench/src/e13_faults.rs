@@ -22,10 +22,10 @@
 //! see [`exit_class`]. Artifacts: `BENCH_e13.json` and, under `obs`,
 //! `OBS_e13.json` (schemas in EXPERIMENTS.md).
 
-use crate::{render_table, write_obs_artifact};
+use crate::{obs_doc, obs_figure, tabulate, write_bench, write_obs_artifact, Cell, Field};
 use sbu_obs::json::Json;
 use sbu_obs::Snapshot;
-use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport, LoopMode, Skew};
+use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use sbu_service::FaultProfile;
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use sbu_stress::ExitStatus;
@@ -103,28 +103,6 @@ pub fn exit_class(report: &LoadgenReport) -> ExitStatus {
     }
 }
 
-fn cell_config(
-    drop_pct: u64,
-    clients: usize,
-    ops: usize,
-    seed: u64,
-    timing: bool,
-) -> LoadgenConfig {
-    LoadgenConfig {
-        clients,
-        shards: 4,
-        workers: 2.min(clients),
-        ops_per_client: ops,
-        keys: 256,
-        skew: Skew::Uniform,
-        mode: LoopMode::Closed,
-        transport: sbu_service::TransportConfig::InProcess,
-        seed,
-        timing,
-        fault: Some(profile(drop_pct)),
-    }
-}
-
 fn row_from(drop_pct: u64, clients: usize, report: &LoadgenReport) -> E13Row {
     let retries = report.metrics.counter("service.retry");
     let applied: u64 = report.shards.iter().map(|s| s.ops).sum();
@@ -145,148 +123,127 @@ fn row_from(drop_pct: u64, clients: usize, report: &LoadgenReport) -> E13Row {
     }
 }
 
-/// Run the full sweep; `metrics` accumulates every cell's instruments.
-pub fn measure(metrics: &mut Snapshot) -> Vec<E13Row> {
+/// Run every [`DROP_PCT`] cell (the seeded profile at that drop rate);
+/// `metrics` accumulates every cell's instruments.
+fn sweep(
+    clients: usize,
+    ops: usize,
+    seed: u64,
+    timing: bool,
+    metrics: &mut Snapshot,
+) -> Vec<E13Row> {
     DROP_PCT
         .iter()
         .map(|&drop_pct| {
-            let config = cell_config(drop_pct, CLIENTS, OPS_PER_CLIENT, 0xE13, true);
+            let config = LoadgenConfig {
+                clients,
+                shards: 4,
+                workers: 2.min(clients),
+                ops_per_client: ops,
+                keys: 256,
+                seed,
+                timing,
+                fault: Some(profile(drop_pct)),
+                ..Default::default()
+            };
             let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
             metrics.merge(&report.metrics);
-            row_from(drop_pct, CLIENTS, &report)
+            row_from(drop_pct, clients, &report)
         })
         .collect()
 }
 
-/// The `BENCH_e13.json` document (schema in EXPERIMENTS.md).
-pub fn to_json(rows: &[E13Row], ops_per_client: usize) -> Json {
-    Json::obj(vec![
-        ("experiment", Json::Str("e13".into())),
-        ("object", Json::Str("counter".into())),
-        ("unit", Json::Str("ops_per_sec".into())),
-        ("ops_per_client", Json::Num(ops_per_client as f64)),
-        ("mode", Json::Str("closed".into())),
-        ("duplicate", Json::Num(0.05)),
-        ("reorder", Json::Num(0.05)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("drop_pct", Json::Num(r.drop_pct as f64)),
-                            ("clients", Json::Num(r.clients as f64)),
-                            ("ops", Json::Num(r.ops as f64)),
-                            ("failures", Json::Num(r.failures as f64)),
-                            ("busy", Json::Num(r.busy as f64)),
-                            ("unavailable", Json::Num(r.unavailable as f64)),
-                            ("retries", Json::Num(r.retries as f64)),
-                            ("drops_injected", Json::Num(r.drops_injected as f64)),
-                            ("amplification", Json::Num(r.amplification)),
-                            ("goodput", Json::Num(r.goodput)),
-                            (
-                                "shard_ops",
-                                Json::Arr(
-                                    r.shard_ops.iter().map(|&o| Json::Num(o as f64)).collect(),
-                                ),
-                            ),
-                            ("exact", Json::Bool(r.exact)),
-                            ("exit", Json::Str(format!("{:?}", r.exit).to_lowercase())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+const FIELDS: &[Field<E13Row>] = &[
+    ("drop_pct", "drop", |r| Cell::int(r.drop_pct).suffix("%")),
+    ("clients", "", |r| Cell::int(r.clients as u64)),
+    ("ops", "ops", |r| Cell::int(r.ops)),
+    ("goodput", "goodput", |r| Cell::num(r.goodput, 0)),
+    ("retries", "retries", |r| Cell::int(r.retries).obs()),
+    ("drops_injected", "dropped", |r| {
+        Cell::int(r.drops_injected).obs()
+    }),
+    ("amplification", "amplif", |r| {
+        Cell::num(r.amplification, 3).suffix("×").obs()
+    }),
+    ("failures", "fail", |r| Cell::int(r.failures)),
+    ("busy", "", |r| Cell::int(r.busy)),
+    ("unavailable", "", |r| Cell::int(r.unavailable)),
+    ("shard_ops", "", |r| {
+        Cell::json(Json::Arr(
+            r.shard_ops.iter().map(|&o| Json::Num(o as f64)).collect(),
+        ))
+    }),
+    ("exact", "exact", |r| Cell::yes(r.exact)),
+    ("exit", "exit", |r| {
+        Cell::text(format!("{:?}", r.exit).to_lowercase())
+    }),
+];
 
-fn render(rows: &[E13Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}%", r.drop_pct),
-                r.ops.to_string(),
-                format!("{:.0}", r.goodput),
-                r.retries.to_string(),
-                r.drops_injected.to_string(),
-                format!("{:.3}×", r.amplification),
-                r.failures.to_string(),
-                if r.exact { "yes".into() } else { "NO".into() },
-                format!("{:?}", r.exit).to_lowercase(),
-            ]
-        })
-        .collect();
-    render_table(
+/// The E13 table and its `BENCH_e13.json` document (schema in
+/// EXPERIMENTS.md).
+pub fn tables(rows: &[E13Row], ops_per_client: usize) -> (String, Json) {
+    tabulate(
         "E13  goodput and retry amplification vs drop rate (closed loop, inc-only, dup/reorder 5%)",
-        &[
-            "drop", "ops", "goodput", "retries", "dropped", "amplif", "fail", "exact", "exit",
+        FIELDS,
+        rows,
+        vec![
+            ("experiment", Json::Str("e13".into())),
+            ("object", Json::Str("counter".into())),
+            ("unit", Json::Str("ops_per_sec".into())),
+            ("ops_per_client", Json::Num(ops_per_client as f64)),
+            ("mode", Json::Str("closed".into())),
+            ("duplicate", Json::Num(0.05)),
+            ("reorder", Json::Num(0.05)),
         ],
-        &table_rows,
     )
 }
 
 /// Run the sweep, write `BENCH_e13.json` (+ `OBS_e13.json` under `obs`),
-/// and verify the acceptance claims: every cell is exactly-once with zero
+/// and check the acceptance claims: every cell is exactly-once with zero
 /// failures, and under obs the 20% cell actually dropped frames and
-/// amplified more than the 0% cell. `Err` carries the report on failure.
-pub fn run_checked() -> Result<String, String> {
+/// amplified more than the 0% cell. A miss ends the report with a WARNING.
+pub fn run() -> String {
     let mut metrics = Snapshot::default();
-    let rows = measure(&mut metrics);
+    let rows = sweep(CLIENTS, OPS_PER_CLIENT, 0xE13, true, &mut metrics);
 
-    let json = to_json(&rows, OPS_PER_CLIENT).render();
-    let mut report = render(&rows);
+    let (mut report, doc) = tables(&rows, OPS_PER_CLIENT);
     report.push_str(&metrics.render_table("E13  service instruments (all cells)"));
-    match std::fs::write("BENCH_e13.json", &json) {
-        Ok(()) => report.push_str("wrote BENCH_e13.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e13.json: {e}\n")),
-    }
+    report.push_str(&write_bench("e13", &doc));
     report.push_str(&write_obs_artifact("e13", &metrics));
 
-    let mut ok = true;
-    for r in &rows {
-        if !r.exact || r.exit != ExitStatus::Clean {
-            ok = false;
-            report.push_str(&format!(
-                "FAIL: {}% drop cell not exactly-once clean ({} failures, exit {:?})\n",
-                r.drop_pct, r.failures, r.exit
-            ));
-        }
+    let mut fails = Vec::new();
+    for r in rows
+        .iter()
+        .filter(|r| !r.exact || r.exit != ExitStatus::Clean)
+    {
+        fails.push(format!(
+            "FAIL: {}% drop cell not exactly-once clean ({} failures, exit {:?})\n",
+            r.drop_pct, r.failures, r.exit
+        ));
     }
-    if cfg!(feature = "obs") {
-        let (zero, worst) = (&rows[0], rows.last().unwrap());
-        if worst.drops_injected == 0 {
-            ok = false;
-            report.push_str("FAIL: the 20% drop cell injected no drops\n");
-        }
-        if worst.amplification <= zero.amplification {
-            ok = false;
-            report.push_str(&format!(
-                "FAIL: amplification must grow with the drop rate ({:.3} at 0% vs {:.3} at 20%)\n",
-                zero.amplification, worst.amplification
-            ));
-        }
+    let (zero, worst) = (&rows[0], rows.last().expect("non-empty sweep"));
+    if cfg!(feature = "obs") && worst.drops_injected == 0 {
+        fails.push("FAIL: the 20% drop cell injected no drops\n".into());
     }
+    if cfg!(feature = "obs") && worst.amplification <= zero.amplification {
+        fails.push(format!(
+            "FAIL: amplification must grow with the drop rate ({:.3} at 0% vs {:.3} at 20%)\n",
+            zero.amplification, worst.amplification
+        ));
+    }
+    report.push_str(&fails.concat());
     report.push_str(&format!(
-        "acceptance: {} cells exactly-once clean; amplification 0%→20%: {:.3}× → {:.3}×\n",
+        "acceptance: {} cells exactly-once clean; amplification 0%→20%: {}\n",
         rows.iter().filter(|r| r.exact).count(),
-        rows[0].amplification,
-        rows.last().unwrap().amplification
+        obs_figure(format!(
+            "{:.3}× → {:.3}×",
+            zero.amplification, worst.amplification
+        ))
     ));
-    if ok {
-        Ok(report)
-    } else {
-        Err(report)
+    if !fails.is_empty() {
+        report.push_str("WARNING: acceptance check failed on this machine\n");
     }
-}
-
-/// Run the experiment without failing the process on the acceptance check
-/// (interactive `exp e13`).
-pub fn run() -> String {
-    match run_checked() {
-        Ok(report) => report,
-        Err(report) => report + "WARNING: acceptance check failed on this machine\n",
-    }
+    report
 }
 
 /// The CI smoke: one cell under the full honest lossy profile
@@ -308,8 +265,12 @@ pub fn run_smoke() -> Result<String, String> {
     let row = row_from(10, config.clients, &report);
     let mut out = format!(
         "E13 smoke @2 clients, full lossy profile: {} ops, {} failures, \
-         {} retries, {:.3}× amplification, exact={}\n",
-        row.ops, row.failures, row.retries, row.amplification, row.exact
+         retries {}, amplification {}, exact={}\n",
+        row.ops,
+        row.failures,
+        obs_figure(row.retries.to_string()),
+        obs_figure(format!("{:.3}×", row.amplification)),
+        row.exact
     );
     out.push_str(&write_obs_artifact("e13", &report.metrics));
     if !row.exact || row.exit != ExitStatus::Clean {
@@ -338,28 +299,15 @@ pub const DETERMINISTIC_OPS: usize = 100;
 /// and dedup hits are all pure functions of the seed at one client).
 pub fn deterministic_docs(seed: u64) -> (String, String) {
     let mut metrics = Snapshot::default();
-    let rows: Vec<E13Row> = DROP_PCT
-        .iter()
-        .map(|&drop_pct| {
-            let config = cell_config(drop_pct, 1, DETERMINISTIC_OPS, seed, false);
-            let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-            metrics.merge(&report.metrics);
-            row_from(drop_pct, 1, &report)
-        })
-        .collect();
-    let bench = to_json(&rows, DETERMINISTIC_OPS).render();
+    let rows = sweep(1, DETERMINISTIC_OPS, seed, false, &mut metrics);
+    let bench = tables(&rows, DETERMINISTIC_OPS).1.render();
     // Mailbox depth is sampled at drain time, so it observes thread
     // interleaving — whether the worker wakes before or after a duplicated
     // frame lands — not the seed. It stays out of the byte-identical doc.
     metrics
         .histograms
         .retain(|(name, _)| name != "service.queue_depth");
-    let obs = Json::obj(vec![
-        ("experiment", Json::Str("e13".into())),
-        ("metrics", metrics.to_json()),
-    ])
-    .render();
-    (bench, obs)
+    (bench, obs_doc("e13", &metrics).render())
 }
 
 #[cfg(test)]
@@ -404,8 +352,8 @@ mod tests {
     }
 
     #[test]
-    fn json_schema_carries_every_axis() {
-        let rows = vec![E13Row {
+    fn document_keys_match_the_checked_in_benchmark() {
+        let rows = [E13Row {
             drop_pct: 20,
             clients: 4,
             ops: 1600,
@@ -420,11 +368,12 @@ mod tests {
             exact: true,
             exit: ExitStatus::Clean,
         }];
-        let doc = to_json(&rows, OPS_PER_CLIENT).render();
+        let doc = crate::assert_schema("BENCH_e13.json", &tables(&rows, OPS_PER_CLIENT).1);
         for needle in [
             "\"experiment\": \"e13\"",
             "\"drop_pct\": 20",
             "\"retries\": 420",
+            "\"drops_injected\": 390",
             "\"amplification\": 1.2625",
             "\"shard_ops\"",
             "\"exact\": true",

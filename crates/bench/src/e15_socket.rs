@@ -21,9 +21,9 @@
 //! arm — a small Unix-socket cell that must show live `service.accept`
 //! activity and hold exactly-once.
 
-use crate::{render_table, write_obs_artifact};
+use crate::{obs_figure, tabulate, write_bench, write_obs_artifact, Cell, Field};
 use sbu_obs::json::Json;
-use sbu_service::loadgen::{self, LoadgenConfig, LoadgenReport};
+use sbu_service::loadgen::{self, LoadgenConfig};
 use sbu_service::{FaultProfile, TransportConfig};
 use sbu_spec::specs::{CounterOp, CounterSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,25 +82,31 @@ pub fn tcp_available() -> bool {
     std::net::TcpListener::bind("127.0.0.1:0").is_ok()
 }
 
-fn leg_config(transport: TransportConfig, ops: usize, seed: u64, timing: bool) -> LoadgenConfig {
+fn leg_config(transport: TransportConfig, fault: Option<FaultProfile>) -> LoadgenConfig {
     LoadgenConfig {
         clients: CLIENTS,
         shards: 4,
         workers: 2,
-        ops_per_client: ops,
+        ops_per_client: OPS_PER_CLIENT,
         keys: 256,
         transport,
-        seed,
-        timing,
+        seed: 0xE15,
+        fault,
         ..Default::default()
     }
 }
 
-fn row_from(transport: &str, report: &LoadgenReport) -> E15Row {
+/// Run one leg (removing its socket file after), returning its row and
+/// its instruments.
+fn run_leg(label: &str, config: LoadgenConfig) -> (E15Row, sbu_obs::Snapshot) {
+    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
+    if let TransportConfig::Unix(path) = &config.transport {
+        let _ = std::fs::remove_file(path);
+    }
     let read_syscalls = report.metrics.counter("service.read_syscall");
     let applied: u64 = report.shards.iter().map(|s| s.ops).sum();
-    E15Row {
-        transport: transport.into(),
+    let row = E15Row {
+        transport: label.into(),
         ops: report.ops,
         acked: report.acked,
         failures: report.failures,
@@ -116,173 +122,112 @@ fn row_from(transport: &str, report: &LoadgenReport) -> E15Row {
             read_syscalls as f64 / report.acked as f64
         },
         exact: report.failures == 0 && applied == report.acked,
-    }
-}
-
-fn run_leg(label: &str, transport: TransportConfig, fault: Option<FaultProfile>) -> E15Row {
-    let unix_path = match &transport {
-        TransportConfig::Unix(path) => Some(path.clone()),
-        _ => None,
     };
-    let mut config = leg_config(transport, OPS_PER_CLIENT, 0xE15, true);
-    config.fault = fault;
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    if let Some(path) = unix_path {
-        let _ = std::fs::remove_file(path);
-    }
-    row_from(label, &report)
+    (row, report.metrics)
 }
 
 /// Run every leg; `metrics` receives the honest Unix leg's instruments
 /// (the `OBS_e15.json` payload). The TCP leg is omitted (with a note in
 /// the report, handled by the caller) when loopback TCP is unavailable.
 pub fn measure(metrics: &mut sbu_obs::Snapshot) -> Vec<E15Row> {
-    let mut rows = vec![run_leg("in-process", TransportConfig::InProcess, None)];
-
-    let unix_path = scratch_socket("bench");
-    let config = leg_config(
-        TransportConfig::Unix(unix_path.clone()),
-        OPS_PER_CLIENT,
-        0xE15,
-        true,
-    );
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    let _ = std::fs::remove_file(&unix_path);
-    metrics.merge(&report.metrics);
-    rows.push(row_from("unix", &report));
-
+    let (in_process, _) = run_leg("in-process", leg_config(TransportConfig::InProcess, None));
+    let unix_leg = leg_config(TransportConfig::Unix(scratch_socket("bench")), None);
+    let (unix, unix_metrics) = run_leg("unix", unix_leg);
+    metrics.merge(&unix_metrics);
+    let mut rows = vec![in_process, unix];
     if tcp_available() {
-        rows.push(run_leg(
-            "tcp",
-            TransportConfig::Tcp("127.0.0.1:0".into()),
-            None,
-        ));
+        let tcp = TransportConfig::Tcp("127.0.0.1:0".into());
+        rows.push(run_leg("tcp", leg_config(tcp, None)).0);
     }
-
-    rows.push(run_leg(
-        "unix+lossy",
-        TransportConfig::Unix(scratch_socket("lossy")),
-        Some(FaultProfile::lossy()),
-    ));
+    let lossy = TransportConfig::Unix(scratch_socket("lossy"));
+    rows.push(run_leg("unix+lossy", leg_config(lossy, Some(FaultProfile::lossy()))).0);
     rows
 }
 
-/// The `BENCH_e15.json` document (schema in EXPERIMENTS.md).
-pub fn to_json(rows: &[E15Row]) -> Json {
-    Json::obj(vec![
-        ("experiment", Json::Str("e15".into())),
-        ("object", Json::Str("counter".into())),
-        ("unit", Json::Str("ops_per_sec".into())),
-        ("ops_per_client", Json::Num(OPS_PER_CLIENT as f64)),
-        ("clients", Json::Num(CLIENTS as f64)),
-        ("mode", Json::Str("closed".into())),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("transport", Json::Str(r.transport.clone())),
-                            ("ops", Json::Num(r.ops as f64)),
-                            ("acked", Json::Num(r.acked as f64)),
-                            ("failures", Json::Num(r.failures as f64)),
-                            ("ops_per_sec", Json::Num(r.ops_per_sec)),
-                            ("accepts", Json::Num(r.accepts as f64)),
-                            ("conn_drops", Json::Num(r.conn_drops as f64)),
-                            ("read_syscalls", Json::Num(r.read_syscalls as f64)),
-                            ("partial_frames", Json::Num(r.partial_frames as f64)),
-                            ("retries", Json::Num(r.retries as f64)),
-                            ("syscall_tax", Json::Num(r.syscall_tax)),
-                            ("exact", Json::Bool(r.exact)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+const FIELDS: &[Field<E15Row>] = &[
+    ("transport", "transport", |r| {
+        Cell::text(r.transport.clone())
+    }),
+    ("ops", "", |r| Cell::int(r.ops)),
+    ("acked", "acked", |r| Cell::int(r.acked)),
+    ("ops_per_sec", "ops/sec", |r| Cell::num(r.ops_per_sec, 0)),
+    ("accepts", "accepts", |r| Cell::int(r.accepts).obs()),
+    ("conn_drops", "", |r| Cell::int(r.conn_drops)),
+    ("read_syscalls", "reads", |r| {
+        Cell::int(r.read_syscalls).obs()
+    }),
+    ("syscall_tax", "reads/op", |r| {
+        Cell::num(r.syscall_tax, 2).obs()
+    }),
+    ("partial_frames", "partial", |r| {
+        Cell::int(r.partial_frames).obs()
+    }),
+    ("retries", "retries", |r| Cell::int(r.retries).obs()),
+    ("failures", "fail", |r| Cell::int(r.failures)),
+    ("exact", "exact", |r| Cell::yes(r.exact)),
+];
 
-fn render(rows: &[E15Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.transport.clone(),
-                r.acked.to_string(),
-                format!("{:.0}", r.ops_per_sec),
-                r.accepts.to_string(),
-                r.read_syscalls.to_string(),
-                format!("{:.2}", r.syscall_tax),
-                r.partial_frames.to_string(),
-                r.retries.to_string(),
-                r.failures.to_string(),
-                if r.exact { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    render_table(
+/// The E15 table and its `BENCH_e15.json` document (schema in
+/// EXPERIMENTS.md).
+pub fn tables(rows: &[E15Row]) -> (String, Json) {
+    tabulate(
         "E15  transport tax: matched closed-loop counter over each byte plane (release build recommended)",
-        &[
-            "transport",
-            "acked",
-            "ops/sec",
-            "accepts",
-            "reads",
-            "reads/op",
-            "partial",
-            "retries",
-            "fail",
-            "exact",
+        FIELDS,
+        rows,
+        vec![
+            ("experiment", Json::Str("e15".into())),
+            ("object", Json::Str("counter".into())),
+            ("unit", Json::Str("ops_per_sec".into())),
+            ("ops_per_client", Json::Num(OPS_PER_CLIENT as f64)),
+            ("clients", Json::Num(CLIENTS as f64)),
+            ("mode", Json::Str("closed".into())),
         ],
-        &table_rows,
     )
 }
 
 /// Run the sweep, write `BENCH_e15.json` (+ `OBS_e15.json` under `obs`),
-/// and verify the acceptance claims: every leg exactly-once, and — under
+/// and check the acceptance claims: every leg exactly-once, and — under
 /// obs — the socket legs saw one accept per client and real `read(2)`
-/// traffic while the in-process leg saw none. `Err` carries the report.
-pub fn run_checked() -> Result<String, String> {
+/// traffic while the in-process leg saw none. A miss ends the report with
+/// a WARNING.
+pub fn run() -> String {
     let mut metrics = sbu_obs::Snapshot::default();
     let rows = measure(&mut metrics);
 
-    let mut report = render(&rows);
+    let (mut report, doc) = tables(&rows);
     if !tcp_available() {
         report.push_str("note: TCP loopback unavailable in this environment; tcp leg skipped\n");
     }
     report.push_str(&metrics.render_table("E15  service instruments (honest unix leg)"));
-    match std::fs::write("BENCH_e15.json", to_json(&rows).render()) {
-        Ok(()) => report.push_str("wrote BENCH_e15.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e15.json: {e}\n")),
-    }
+    report.push_str(&write_bench("e15", &doc));
     report.push_str(&write_obs_artifact("e15", &metrics));
 
-    let mut ok = true;
+    let mut fails = Vec::new();
     for r in &rows {
         if !r.exact {
-            ok = false;
-            report.push_str(&format!("FAIL: {} leg not exactly-once\n", r.transport));
+            fails.push(format!("FAIL: {} leg not exactly-once\n", r.transport));
+        }
+        let socket = r.transport != "in-process";
+        if cfg!(feature = "obs") && socket && (r.accepts < CLIENTS as u64 || r.read_syscalls == 0) {
+            fails.push(format!(
+                "FAIL: {} leg shows no live socket traffic ({} accepts, {} reads)\n",
+                r.transport, r.accepts, r.read_syscalls
+            ));
+        }
+        if cfg!(feature = "obs") && !socket && r.read_syscalls != 0 {
+            fails.push("FAIL: in-process leg recorded read syscalls\n".into());
         }
     }
-    if cfg!(feature = "obs") {
-        for r in &rows {
-            let socket = r.transport != "in-process";
-            if socket && (r.accepts < CLIENTS as u64 || r.read_syscalls == 0) {
-                ok = false;
-                report.push_str(&format!(
-                    "FAIL: {} leg shows no live socket traffic ({} accepts, {} reads)\n",
-                    r.transport, r.accepts, r.read_syscalls
-                ));
-            }
-            if !socket && r.read_syscalls != 0 {
-                ok = false;
-                report.push_str("FAIL: in-process leg recorded read syscalls\n");
-            }
-        }
-    }
+    report.push_str(&fails.concat());
     let tax: Vec<String> = rows
         .iter()
-        .map(|r| format!("{} {:.2}", r.transport, r.syscall_tax))
+        .map(|r| {
+            format!(
+                "{} {}",
+                r.transport,
+                obs_figure(format!("{:.2}", r.syscall_tax))
+            )
+        })
         .collect();
     report.push_str(&format!(
         "acceptance: {}/{} legs exactly-once; reads per acked op: {}\n",
@@ -290,20 +235,10 @@ pub fn run_checked() -> Result<String, String> {
         rows.len(),
         tax.join(", ")
     ));
-    if ok {
-        Ok(report)
-    } else {
-        Err(report)
+    if !fails.is_empty() {
+        report.push_str("WARNING: acceptance check failed on this machine\n");
     }
-}
-
-/// Run the experiment without failing the process on the acceptance check
-/// (interactive `exp e15`).
-pub fn run() -> String {
-    match run_checked() {
-        Ok(report) => report,
-        Err(report) => report + "WARNING: acceptance check failed on this machine\n",
-    }
+    report
 }
 
 /// The CI smoke: one small cell over a real Unix-domain socket under the
@@ -312,25 +247,24 @@ pub fn run() -> String {
 /// Writes `OBS_e15.json` under obs. `Err` carries the report on failure.
 pub fn run_smoke() -> Result<String, String> {
     let path = scratch_socket("smoke");
-    let mut config = leg_config(TransportConfig::Unix(path.clone()), 200, 0xE15, true);
-    config.clients = 2;
-    config.keys = 64;
-    config.fault = Some(FaultProfile::lossy());
-    let report = loadgen::run(&config, CounterSpec::new(), |_| CounterOp::Inc);
-    let _ = std::fs::remove_file(&path);
-    let row = row_from("unix+lossy", &report);
+    let config = LoadgenConfig {
+        clients: 2,
+        keys: 64,
+        ops_per_client: 200,
+        ..leg_config(TransportConfig::Unix(path), Some(FaultProfile::lossy()))
+    };
+    let (row, metrics) = run_leg("unix+lossy", config);
     let mut out = format!(
         "E15 smoke @2 clients over unix socket, full lossy profile: {} acked, \
-         {} failures, {} accepts, {} reads ({:.2}/op), {} retries, exact={}\n",
+         {} failures, accepts {}, reads {}, retries {}, exact={}\n",
         row.acked,
         row.failures,
-        row.accepts,
-        row.read_syscalls,
-        row.syscall_tax,
-        row.retries,
+        obs_figure(row.accepts.to_string()),
+        obs_figure(format!("{} ({:.2}/op)", row.read_syscalls, row.syscall_tax)),
+        obs_figure(row.retries.to_string()),
         row.exact
     );
-    out.push_str(&write_obs_artifact("e15", &report.metrics));
+    out.push_str(&write_obs_artifact("e15", &metrics));
     if !row.exact {
         return Err(out + "FAIL: lossy socket smoke lost or double-applied an acked op\n");
     }
@@ -349,9 +283,8 @@ pub fn run_smoke() -> Result<String, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_schema_carries_every_axis() {
-        let rows = vec![E15Row {
+    fn row() -> E15Row {
+        E15Row {
             transport: "unix".into(),
             ops: 8000,
             acked: 8000,
@@ -364,8 +297,13 @@ mod tests {
             retries: 0,
             syscall_tax: 1.125,
             exact: true,
-        }];
-        let doc = to_json(&rows).render();
+        }
+    }
+
+    #[test]
+    fn document_keys_match_the_checked_in_benchmark() {
+        let json = tables(&[row()]).1;
+        let doc = crate::assert_schema("BENCH_e15.json", &json);
         for needle in [
             "\"experiment\": \"e15\"",
             "\"transport\": \"unix\"",
@@ -377,7 +315,21 @@ mod tests {
         ] {
             assert!(doc.contains(needle), "missing {needle} in {doc}");
         }
-        assert_eq!(Json::parse(&doc).unwrap(), to_json(&rows));
+        assert_eq!(Json::parse(&doc).unwrap(), json);
+    }
+
+    #[test]
+    fn obs_sourced_cells_say_so_when_obs_is_compiled_out() {
+        let (table, doc) = tables(&[row()]);
+        let row_line = table.lines().last().expect("one data row");
+        assert_eq!(
+            row_line.contains(crate::OBS_OFF),
+            !sbu_obs::enabled(),
+            "{table}"
+        );
+        assert!(row_line.contains("123456"), "{table}");
+        // The document keeps the number either way.
+        assert!(doc.render().contains("\"accepts\": 4"));
     }
 
     #[test]

@@ -8,21 +8,21 @@
 //! with scans; the point is progress guarantees, not raw speed.
 //!
 //! Besides the rendered table, `run` writes `BENCH_e8.json` (schema in
-//! EXPERIMENTS.md) so the perf trajectory is trackable across changes, and
-//! `run_checked` compares a fresh run against a checked-in baseline —
+//! EXPERIMENTS.md) so the perf trajectory is trackable across changes and,
+//! given a checked-in baseline, compares the fresh run against it —
 //! that's the CI perf smoke.
 
-use crate::{render_table, write_obs_artifact};
+use crate::{
+    best_of, tabulate, timed_threads, write_bench, write_obs_artifact, Cell, Field, BEST_OF,
+};
 use sbu_core::{
     bounded::UniversalConfig, CellPayload, SpinLockUniversal, UnboundedUniversal, Universal,
     UniversalObject,
 };
 use sbu_mem::native::NativeMem;
-use sbu_mem::{Pid, WordMem};
+use sbu_mem::WordMem;
 use sbu_obs::json::Json;
 use sbu_spec::specs::{CounterOp, CounterSpec};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Operations per thread for every arm.
 pub const OPS_PER_THREAD: usize = 2_000;
@@ -62,32 +62,24 @@ impl E8Row {
     }
 }
 
-fn throughput<U>(
+/// Ops/sec of `threads` processors each applying `ops_per_thread`
+/// increments to `obj` (any counter construction) over `mem`.
+pub(crate) fn throughput<U: UniversalObject<CounterSpec> + Sync>(
     threads: usize,
     ops_per_thread: usize,
     obj: U,
     mem: NativeMem<CellPayload<CounterSpec>>,
-) -> f64
-where
-    U: UniversalObject<CounterSpec> + Clone + 'static,
-{
-    let mem = Arc::new(mem);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let obj = obj.clone();
-            s.spawn(move || {
-                for _ in 0..ops_per_thread {
-                    obj.apply(&*mem, Pid(i), &CounterOp::Inc);
-                }
-            });
+) -> f64 {
+    timed_threads(threads, ops_per_thread, |pid| {
+        for _ in 0..ops_per_thread {
+            obj.apply(&mem, pid, &CounterOp::Inc);
         }
-    });
-    (threads * ops_per_thread) as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
-fn bounded_throughput(
+/// [`throughput`] of the bounded construction under `config`, with its
+/// instruments attached to `registry`.
+pub(crate) fn bounded_throughput(
     threads: usize,
     ops: usize,
     config: UniversalConfig,
@@ -102,180 +94,119 @@ fn bounded_throughput(
     throughput(threads, ops, bounded, mem)
 }
 
-/// Measure every arm at every thread count.
-pub fn measure() -> Vec<E8Row> {
-    measure_with(&sbu_obs::Registry::new(0))
+/// [`throughput`] of the spin-lock-protected sequential counter.
+pub(crate) fn spin_lock_throughput(threads: usize, ops: usize) -> f64 {
+    let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
+    let lock = SpinLockUniversal::new(&mut mem, CounterSpec::new());
+    throughput(threads, ops, lock, mem)
 }
 
-/// Like [`measure`], but the bounded arms attach their instruments to
-/// `registry` (frontier hit/miss/fallback, combining batch sizes, CAS
-/// retries) — the source of the `OBS_e8.json` artifact. Size the registry
-/// for the largest entry of [`THREADS`].
+/// Measure every arm at every thread count. The bounded arms attach their
+/// instruments to `registry` (frontier hit/miss/fallback, combining batch
+/// sizes, CAS retries) — the source of the `OBS_e8.json` artifact. Size
+/// the registry for the largest entry of [`THREADS`].
 pub fn measure_with(registry: &sbu_obs::Registry) -> Vec<E8Row> {
-    let mut rows = Vec::new();
-    for &threads in &THREADS {
-        let ops = OPS_PER_THREAD;
-
-        let bounded_fast =
-            bounded_throughput(threads, ops, UniversalConfig::for_procs(threads), registry);
-        let bounded_paper = bounded_throughput(
-            threads,
-            ops,
-            UniversalConfig::for_procs(threads).paper_scans(),
-            registry,
-        );
-
-        let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-        let unbounded = UnboundedUniversal::new(&mut mem, threads, ops + 8, CounterSpec::new());
-        let unbounded_tp = throughput(threads, ops, unbounded, mem);
-
-        let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
-        let lock = SpinLockUniversal::new(&mut mem, CounterSpec::new());
-        let lock_tp = throughput(threads, ops, lock, mem);
-
-        // Raw fetch-and-add reference (not linearizable *as a universal
-        // object* — it IS the hardware op the constructions simulate).
-        let mut mem: NativeMem<()> = NativeMem::new();
-        let reg = mem.alloc_atomic(0);
-        let mem = Arc::new(mem);
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for i in 0..threads {
-                let mem = Arc::clone(&mem);
-                s.spawn(move || {
-                    for _ in 0..ops {
-                        mem.rmw(Pid(i), reg, &|x| x + 1);
-                    }
-                });
-            }
-        });
-        let raw_tp = (threads * ops) as f64 / t0.elapsed().as_secs_f64();
-
-        rows.push(E8Row {
-            threads,
-            bounded_fast,
-            bounded_paper,
-            unbounded: unbounded_tp,
-            spin_lock: lock_tp,
-            raw_fetch_add: raw_tp,
-        });
-    }
-    rows
-}
-
-/// The `BENCH_e8.json` document for a set of rows (schema: EXPERIMENTS.md).
-pub fn to_json(rows: &[E8Row]) -> Json {
-    Json::obj(vec![
-        ("experiment", Json::Str("e8".into())),
-        ("object", Json::Str("counter".into())),
-        ("unit", Json::Str("ops_per_sec".into())),
-        ("ops_per_thread", Json::Num(OPS_PER_THREAD as f64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("threads", Json::Num(r.threads as f64)),
-                            ("bounded_fast", Json::Num(r.bounded_fast)),
-                            ("bounded_paper", Json::Num(r.bounded_paper)),
-                            ("unbounded", Json::Num(r.unbounded)),
-                            ("spin_lock", Json::Num(r.spin_lock)),
-                            ("raw_fetch_add", Json::Num(r.raw_fetch_add)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn render(rows: &[E8Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
+    let ops = OPS_PER_THREAD;
+    THREADS
         .iter()
-        .map(|r| {
-            vec![
-                r.threads.to_string(),
-                format!("{:.0}", r.bounded_fast),
-                format!("{:.0}", r.bounded_paper),
-                format!("{:.2}×", r.bounded_fast / r.bounded_paper),
-                format!("{:.0}", r.unbounded),
-                format!("{:.0}", r.spin_lock),
-                format!("{:.0}", r.raw_fetch_add),
-            ]
+        .map(|&threads| {
+            let for_procs = UniversalConfig::for_procs(threads);
+            let mut mem: NativeMem<CellPayload<CounterSpec>> = NativeMem::new();
+            let unbounded = UnboundedUniversal::new(&mut mem, threads, ops + 8, CounterSpec::new());
+            // Raw fetch-and-add reference (not linearizable *as a universal
+            // object* — it IS the hardware op the constructions simulate).
+            let mut raw: NativeMem<()> = NativeMem::new();
+            let reg = raw.alloc_atomic(0);
+            E8Row {
+                threads,
+                bounded_fast: bounded_throughput(threads, ops, for_procs, registry),
+                bounded_paper: bounded_throughput(threads, ops, for_procs.paper_scans(), registry),
+                unbounded: throughput(threads, ops, unbounded, mem),
+                spin_lock: spin_lock_throughput(threads, ops),
+                raw_fetch_add: timed_threads(threads, ops, |pid| {
+                    for _ in 0..ops {
+                        raw.rmw(pid, reg, &|x| x + 1);
+                    }
+                }),
+            }
         })
-        .collect();
-    render_table(
+        .collect()
+}
+
+const FIELDS: &[Field<E8Row>] = &[
+    ("threads", "threads", |r| Cell::int(r.threads as u64)),
+    ("bounded_fast", "bounded (fast)", |r| {
+        Cell::num(r.bounded_fast, 0)
+    }),
+    ("bounded_paper", "bounded (paper)", |r| {
+        Cell::num(r.bounded_paper, 0)
+    }),
+    ("", "speedup", |r| {
+        Cell::num(r.bounded_fast / r.bounded_paper, 2).suffix("×")
+    }),
+    ("unbounded", "unbounded", |r| Cell::num(r.unbounded, 0)),
+    ("spin_lock", "spin lock", |r| Cell::num(r.spin_lock, 0)),
+    ("raw_fetch_add", "raw fetch-add", |r| {
+        Cell::num(r.raw_fetch_add, 0)
+    }),
+];
+
+/// The E8 table and its `BENCH_e8.json` document (schema: EXPERIMENTS.md).
+pub fn tables(rows: &[E8Row]) -> (String, Json) {
+    tabulate(
         "E8  native throughput, ops/sec (counter; release build recommended)",
-        &[
-            "threads",
-            "bounded (fast)",
-            "bounded (paper)",
-            "speedup",
-            "unbounded",
-            "spin lock",
-            "raw fetch-add",
+        FIELDS,
+        rows,
+        vec![
+            ("experiment", Json::Str("e8".into())),
+            ("object", Json::Str("counter".into())),
+            ("unit", Json::Str("ops_per_sec".into())),
+            ("ops_per_thread", Json::Num(OPS_PER_THREAD as f64)),
         ],
-        &table_rows,
     )
 }
 
 /// Run the experiment, write `BENCH_e8.json`, and return the report.
-pub fn run() -> String {
-    match run_checked(None) {
-        Ok(report) => report,
-        Err(e) => e, // unreachable: no baseline means no failure path
-    }
-}
-
-/// Like [`run`], but when `baseline` names a readable `BENCH_e8.json`-shaped
-/// file, also compare the fresh `bounded_fast` numbers against it and fail
-/// (Err, with the report) on a >30% regression at any thread count. A
-/// missing baseline file is a graceful skip, not an error.
 ///
-/// Millisecond-scale runs are noisy (a busy CI neighbour can halve one
-/// sample), so a regression verdict is only issued after taking the
-/// element-wise best of up to three full measurement sweeps — genuine
-/// regressions survive retries, scheduler hiccups don't. The written
-/// `BENCH_e8.json` holds the merged best, which is also the right thing to
-/// promote to a new baseline.
-pub fn run_checked(baseline: Option<&str>) -> Result<String, String> {
-    let base = match baseline {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Err(_) => None,
-            Ok(text) => Some(Json::parse(&text).map_err(|e| format!("bad baseline {path}: {e}"))?),
-        },
+/// When `baseline` names a readable `BENCH_e8.json`-shaped file, also
+/// compare the fresh `bounded_fast` numbers against it and fail (`Err`,
+/// with the report) on a >30% regression at any thread count. A missing
+/// baseline file is a graceful skip, not an error. The verdict is taken
+/// on the element-wise best of up to [`BEST_OF`] full sweeps; the written
+/// `BENCH_e8.json` holds that merged best, which is also the right thing
+/// to promote to a new baseline.
+pub fn run(baseline: Option<&str>) -> Result<String, String> {
+    let base = match baseline.map(|path| (path, std::fs::read_to_string(path))) {
+        Some((path, Ok(text))) => {
+            Some(Json::parse(&text).map_err(|e| format!("bad baseline {path}: {e}"))?)
+        }
+        _ => None,
     };
 
     let registry = sbu_obs::Registry::new(*THREADS.iter().max().expect("non-empty sweep"));
-    let mut rows = measure_with(&registry);
-    if let Some(base) = &base {
-        for _ in 0..2 {
-            if !compare_to_baseline(base, &rows).1 {
-                break;
+    let (rows, _) = best_of(
+        || measure_with(&registry),
+        |best, fresh| {
+            for (b, f) in best.iter_mut().zip(&fresh) {
+                b.merge_best(f);
             }
-            for (best, fresh) in rows.iter_mut().zip(measure_with(&registry)) {
-                best.merge_best(&fresh);
-            }
-        }
-    }
+        },
+        |rows| {
+            base.as_ref()
+                .is_none_or(|b| !compare_to_baseline(b, rows).1)
+        },
+    );
 
-    let json = to_json(&rows).render();
-    let mut report = render(&rows);
+    let (mut report, doc) = tables(&rows);
     let metrics = registry.snapshot();
     report.push_str(&metrics.render_table("E8  bounded-arm instruments (all sweeps)"));
-    match std::fs::write("BENCH_e8.json", &json) {
-        Ok(()) => report.push_str("wrote BENCH_e8.json\n"),
-        Err(e) => report.push_str(&format!("could not write BENCH_e8.json: {e}\n")),
-    }
+    report.push_str(&write_bench("e8", &doc));
     report.push_str(&write_obs_artifact("e8", &metrics));
 
-    let Some(path) = baseline else {
-        return Ok(report);
-    };
-    let Some(base) = base else {
-        report.push_str(&format!("baseline {path} not found; check skipped\n"));
+    let (Some(path), Some(base)) = (baseline, base) else {
+        if let Some(path) = baseline {
+            report.push_str(&format!("baseline {path} not found; check skipped\n"));
+        }
         return Ok(report);
     };
     let (lines, regressed) = compare_to_baseline(&base, &rows);
@@ -283,7 +214,7 @@ pub fn run_checked(baseline: Option<&str>) -> Result<String, String> {
     if regressed {
         Err(format!(
             "{report}FAIL: bounded_fast regressed more than \
-             {:.0}% vs {path} (best of 3 runs)",
+             {:.0}% vs {path} (best of {BEST_OF} runs)",
             (1.0 - REGRESSION_FLOOR) * 100.0
         ))
     } else {
@@ -343,8 +274,20 @@ mod tests {
     }
 
     #[test]
+    fn document_keys_match_the_checked_in_baseline() {
+        let doc = tables(&[row(2, 123.0)]).1;
+        crate::assert_schema("BENCH_e8_baseline.json", &doc);
+        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("e8"));
+        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows[0].get("threads").unwrap().as_num(), Some(2.0));
+        assert_eq!(rows[0].get("bounded_fast").unwrap().as_num(), Some(123.0));
+        assert!(rows[0].get("bounded_paper").is_some());
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
     fn baseline_compare_flags_only_real_regressions() {
-        let base = to_json(&[row(1, 1000.0), row(4, 1000.0)]);
+        let base = tables(&[row(1, 1000.0), row(4, 1000.0)]).1;
         // 1 thread holds steady, 4 threads collapses: regression.
         let (out, bad) = compare_to_baseline(&base, &[row(1, 950.0), row(4, 500.0)]);
         assert!(bad);
@@ -356,17 +299,5 @@ mod tests {
         let (out, bad) = compare_to_baseline(&base, &[row(2, 10.0)]);
         assert!(!bad);
         assert!(out.contains("skipped"));
-    }
-
-    #[test]
-    fn json_document_has_the_documented_shape() {
-        let doc = to_json(&[row(2, 123.0)]);
-        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("e8"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
-        assert_eq!(rows[0].get("threads").unwrap().as_num(), Some(2.0));
-        assert_eq!(rows[0].get("bounded_fast").unwrap().as_num(), Some(123.0));
-        assert!(rows[0].get("bounded_paper").is_some());
-        // And it survives a round trip through the parser.
-        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 }

@@ -114,7 +114,7 @@ impl<S> Inner<S> {
         // expectation by Lemma 6.4 given the Θ(n²) pool; if the pool is
         // exhausted by leaks this spins, which the simulator's step limit
         // turns into a loud failure.
-        let mut backoff = self.new_backoff(local);
+        let mut backoff = self.new_backoff();
         loop {
             for c in 0..self.cells.len() {
                 if !self.grab(mem, pid, local, c) {
@@ -140,7 +140,6 @@ impl<S> Inner<S> {
             // Every cell was contended this sweep: back off locally before
             // re-racing the jam loop.
             let rounds = backoff.spin();
-            self.note_contention(local);
             self.obs.backoff_spins.add(pid.0, u64::from(rounds));
         }
     }

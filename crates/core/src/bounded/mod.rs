@@ -91,10 +91,6 @@ pub(crate) struct ProcLocal {
     /// the owner's INIT quiescence observation implies every foreign jam
     /// into the cell is already durable — see DESIGN.md §9.4.
     dirty: Vec<usize>,
-    /// Adaptive backoff cap exponent (grows on observed contention, decays
-    /// per operation; only consulted under
-    /// [`UniversalConfig::adaptive_backoff`]).
-    backoff_cap: u32,
     /// Last ticket this processor issued in group-commit mode (`(pid, seq)`
     /// is a command's logical identity; the fold dedups on it). Resynced
     /// from the list by [`Universal::recover`], since reusing a ticket
@@ -106,7 +102,6 @@ pub(crate) struct Inner<S> {
     pub(crate) n: usize,
     pub(crate) use_fast_paths: bool,
     pub(crate) backoff_limit: u32,
-    pub(crate) adaptive_backoff: bool,
     /// Group-commit batch apply enabled (see
     /// [`UniversalConfig::group_commit`]; the machinery lives in
     /// `group.rs`).
@@ -278,12 +273,6 @@ where
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
 
-        // Adaptive backoff decays one step per operation: a cap earned
-        // during a burst drains away once the burst is over.
-        if inner.adaptive_backoff {
-            local.backoff_cap = local.backoff_cap.saturating_sub(1);
-        }
-
         if inner.group_commit {
             let resps = inner.apply_group(mem, pid, &mut local, std::slice::from_ref(op));
             mem.persist(pid);
@@ -338,9 +327,6 @@ where
         }
         let mut local = self.inner.locals[pid.0].lock();
         let inner = &*self.inner;
-        if inner.adaptive_backoff {
-            local.backoff_cap = local.backoff_cap.saturating_sub(1);
-        }
         let mut resps = Vec::with_capacity(ops.len());
         for chunk in ops.chunks(inner.batch_cap) {
             resps.extend(inner.apply_group(mem, pid, &mut local, chunk));
@@ -493,7 +479,6 @@ where
             n,
             use_fast_paths: config.fast_paths,
             backoff_limit: config.backoff_limit,
-            adaptive_backoff: config.adaptive_backoff,
             group_commit: config.group_commit,
             batch_cap: config.batch_cap,
             return_spin: config.return_spin,
@@ -606,24 +591,9 @@ impl<S> Inner<S> {
         self.b_bits[c * self.n + d]
     }
 
-    /// A fresh backoff for a retry loop, capped by the configured limit —
-    /// or, under adaptive backoff, by the processor's earned cap.
-    pub(crate) fn new_backoff(&self, local: &ProcLocal) -> Backoff {
-        let limit = if self.adaptive_backoff {
-            local.backoff_cap.min(self.backoff_limit)
-        } else {
-            self.backoff_limit
-        };
-        Backoff::with_limit(limit)
-    }
-
-    /// Record that a retry loop actually had to pause: under adaptive
-    /// backoff the processor earns a one-step-longer cap (up to the
-    /// configured limit) for its next loops.
-    pub(crate) fn note_contention(&self, local: &mut ProcLocal) {
-        if self.adaptive_backoff && local.backoff_cap < self.backoff_limit {
-            local.backoff_cap += 1;
-        }
+    /// A fresh backoff for a retry loop, capped by the configured limit.
+    pub(crate) fn new_backoff(&self) -> Backoff {
+        Backoff::with_limit(self.backoff_limit)
     }
 
     /// Follow a cell's `Next` pointer (must be defined — cells we walk are

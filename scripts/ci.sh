@@ -120,7 +120,7 @@ cargo test --quiet --offline -p sbu-service --test footprint -- --nocapture
 step "benchmark package builds and tests against the service's public API"
 CARGO_TARGET_DIR=.bench_build cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
 
-step "service throughput smoke (exp e12 --smoke: 4 shards must not lose to 1 shard at 4 clients)"
+step "service smoke (exp e12 --smoke: 1 vs 4 shards at 4 clients, no failed request, live service.route; throughput compared only with a core per worker, else SKIP)"
 rm -f OBS_e12.json
 cargo run --release --quiet --offline --features obs -p sbu-bench --bin exp -- e12 --smoke >/dev/null
 grep -Eq '"service\.route": [1-9]' OBS_e12.json || {

@@ -127,7 +127,7 @@ caveats from E8 apply.
 | Thm 6.6 (space) | — | E3a; `tests/literal_theorem_6_6.rs` (literal sticky bits) |
 | §6.4 (time) | — | E4 |
 | §7 hierarchy collapse | `sbu-rmw` + `sbu-core` CAS object | E6; `tests/collapse.rs` |
-| §7 open problem (efficiency) | `UniversalConfig::with_fast_paths` | E4c ablation |
+| §7 open problem (efficiency) | `UniversalConfig::fast_paths` (on by default; `paper_scans()` turns it off) | E4c ablation |
 | crash–restart durability (§3 crashes, modern persistency reading) | `sbu-mem::durable` (`DurableMem`, torn-persist policies), `sbu-sticky::recoverable`, `Universal::recover` | durable-linearizability checker (`sbu-spec::linearize::check_durable` + its unit suite); DPOR crash exploration (`crates/sticky/tests/dpor_recovery.rs`); native crash–restart torture incl. lying-hardware catches (`crates/stress/tests/crash_restart.rs`, CI smoke); corpus `torn-persist-drops-acked-jam`; E11 |
 """
 open("EXPERIMENTS.md", "w").write(doc)

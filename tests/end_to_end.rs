@@ -184,7 +184,7 @@ fn two_objects_share_one_memory() {
         let mut mem: SimMem<CellPayload<CounterSpec>> = SimMem::new(n);
         let a = Universal::builder(n).build(&mut mem, CounterSpec::new());
         let b = Universal::builder(n)
-            .config(UniversalConfig::for_procs(n).with_fast_paths())
+            .config(UniversalConfig::for_procs(n))
             .build(&mut mem, CounterSpec::new());
         let rec_a: Arc<HistoryRecorder<CounterOp, u64>> = Arc::new(HistoryRecorder::new());
         let rec_b: Arc<HistoryRecorder<CounterOp, u64>> = Arc::new(HistoryRecorder::new());
